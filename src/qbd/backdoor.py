@@ -9,6 +9,7 @@ class, so the cost lives in the engines, parameterized by the cover size.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ClassError, UnknownTag
@@ -70,7 +71,8 @@ class BaseClass:
         if not m:
             raise UnknownTag(f"unknown base class tag {tag!r}")
         width = int(m.group(1)) if m.group(1) else None
-        return cls(m.group(2), width)
+        # one shared string per class name, not a copy in every verdict
+        return cls(sys.intern(m.group(2)), width)
 
     def dual(self) -> "BaseClass":
         """The class containing exactly the sign-flipped atoms of this one."""
@@ -80,12 +82,12 @@ class BaseClass:
         """Membership of a single atom. The empty clause is in every class."""
         if isinstance(atom, AffineEquation):
             return self.kind == "aff"
-        npos = sum(1 for l in atom if l > 0)
-        nneg = len(atom) - npos
         w = len(atom)
-        bound = self.width
         if self.kind == "2cnf":
             return w <= 2
+        npos = sum(1 for l in atom if l > 0)
+        nneg = w - npos
+        bound = self.width
         if self.kind == "aff":
             # units and the empty clause are expressible as equations
             return w <= 1

@@ -7,18 +7,16 @@ usage exits 2. The first stdout line of `solve` is always `s TRUE` or
 `s FALSE`.
 
 Configuration wins in the order flags > environment > defaults. The
-environment knobs are QBD_BRUTE_CAP (variable budget for the brute-force
-fallback, default 24) and QBD_THREADS (bench worker pool size).
+environment knob is QBD_BRUTE_CAP (variable budget for the brute-force
+fallback, default 24).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .affine import AffSystem, eval_qaff, kernelize
@@ -80,16 +78,6 @@ def _load_formula(path: str, class_tag=None) -> QbfFormula:
     if class_tag is not None:
         formula = detect_cc_backdoor(formula, BaseClass.parse(class_tag)).formula
     return formula
-
-
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParamError(f"{name} must be an integer, got {raw!r}")
 
 
 def cmd_solve(args) -> int:
@@ -234,7 +222,6 @@ def cmd_bench(args) -> int:
     if not args.suite or not args.out:
         raise ParamError("bench needs --suite and --out (or --verify)")
     tag, count, n, k, seed0 = _parse_suite(args.suite)
-    threads = args.threads or _env_int("QBD_THREADS") or 1
     jobs = []
     for i in range(count):
         seed = seed0 + i
@@ -243,17 +230,8 @@ def cmd_bench(args) -> int:
 
     written = 0
     with open(args.out, "a", encoding="utf-8") as sink:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_bench_one, iid, seed, f, args.brute_cap)
-                    for iid, seed, f in jobs
-                ]
-                batches = [fut.result() for fut in futures]
-        else:
-            batches = [_bench_one(iid, seed, f, args.brute_cap) for iid, seed, f in jobs]
-        for batch in batches:
-            for record in batch:
+        for iid, seed, f in jobs:
+            for record in _bench_one(iid, seed, f, args.brute_cap):
                 sink.write(json.dumps(asdict(record), sort_keys=True) + "\n")
                 written += 1
     print(f"bench: {len(jobs)} instances, {written} records -> {args.out}")
@@ -353,8 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", metavar="PATH")
     b.add_argument("--verify", metavar="PATH",
                    help="check an existing log instead of running")
-    b.add_argument("--threads", type=int, metavar="N",
-                   help="worker pool size (over QBD_THREADS)")
     b.add_argument("--brute-cap", type=int, metavar="N")
     b.set_defaults(fn=cmd_bench)
     return p

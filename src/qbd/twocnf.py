@@ -10,6 +10,11 @@ Truth of a quantified 2-CNF is then a local scan of the closure: it is
 false exactly when the closure is contradictory, forces a universal
 variable, links two universal variables, or contains a complementary
 binary pair whose universal variable sits inside its existential one.
+
+These closures are the reference, and the public API, for quantified
+2-CNF. The search engine (`solver2cnf.solve`) does not build them: it
+propagates on one implication graph per solve. `solver2cnf.step` decides
+a node from them, and the tests check the engine against them.
 """
 
 from __future__ import annotations

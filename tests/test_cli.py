@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -80,6 +81,22 @@ class TestSolve:
         assert cli.run(["solve", str(p), "--emit-strategy", str(target)]) == 10
         assert not target.exists()
         assert "strategy not written" in capsys.readouterr().err
+
+    def test_deep_prefix(self, tmp_path, capsys):
+        # 5,000 existentials, one of them per search node, and a cover
+        # on the three innermost
+        n = 5000
+        p = tmp_path / "deep.qdimacs"
+        p.write_text(
+            f"p cnf {n} 2\ne {' '.join(map(str, range(1, n + 1)))} 0\n"
+            f"-{n - 1} {n} 0\nc backdoor-begin\n{n - 2} -{n - 1} {n} 0\n"
+        )
+        started = time.perf_counter()
+        assert cli.run(["solve", str(p)]) == 10
+        assert time.perf_counter() - started < 10
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "s TRUE"
+        assert captured.err == ""
 
     def test_missing_file(self, tmp_path, capsys):
         assert cli.run(["solve", str(tmp_path / "nope")]) == 1
@@ -231,14 +248,6 @@ class TestBench:
         cli.run(["bench", "--suite", "aff:3:5:2", "--out", str(log)])
         cli.run(["bench", "--suite", "posneg:3:5:2", "--out", str(log)])
         assert len(log.read_text().splitlines()) == 12
-
-    def test_threads(self, tmp_path, capsys, monkeypatch):
-        log = tmp_path / "log.jsonl"
-        assert cli.run(["bench", "--suite", "2cnf:4:5:2", "--out", str(log), "--threads", "3"]) == 0
-        assert len(log.read_text().splitlines()) == 8
-        monkeypatch.setenv("QBD_THREADS", "2")
-        assert cli.run(["bench", "--suite", "2cnf:4:5:2", "--out", str(log)]) == 0
-        assert len(log.read_text().splitlines()) == 16
 
     def test_verify_flags_bad_records(self, tmp_path, capsys):
         log = tmp_path / "bad.jsonl"
