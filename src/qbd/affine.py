@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backdoor import BaseClass, verify_partition
+from .backdoor import BaseClass, SolveStats, verify_partition
 from .errors import (
     ClassError,
     DomainError,
@@ -33,7 +33,6 @@ from .errors import (
     QuantifierError,
 )
 from .formula import EXISTS, AffineEquation, Prefix, QbfFormula
-from .solver2cnf import SolveStats
 
 
 def _normalize(prefix: Prefix, rows) -> tuple:
@@ -299,11 +298,7 @@ def solve_aff(formula: QbfFormula):
     """Decide a formula whose tractable part is affine; returns
     (value, SolveStats). Branches only on covered variables that no
     kernel equation forces, so at most 2^k leaves."""
-    verify_partition(formula, BaseClass("aff"))
-    unbound = formula.matrix.variables() - set(formula.prefix.variables())
-    if unbound:
-        raise DomainError(f"matrix variables {sorted(unbound)} not quantified")
-    cover = formula.matrix.backdoor_variables()
+    cover = verify_partition(formula, BaseClass("aff"))
     stats = SolveStats(initial_k=len(cover))
     system = AffSystem.from_formula(formula)
     if not eval_qaff(system):

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ClassError, UnknownTag
-from .formula import AffineEquation, Matrix, QbfFormula, atom_vars
+from .formula import AffineEquation, Matrix, QbfFormula, atom_vars, require_quantified
 
 _KINDS = ("2cnf", "horn", "dualhorn", "aff", "ihsb-", "ihsb+", "posneg", "dual-posneg")
 _BOUNDED = ("horn", "dualhorn", "ihsb-", "ihsb+")
@@ -177,11 +177,23 @@ def rank_classes(formula: QbfFormula, candidates=None) -> list:
     return [bd for _, _, bd in found]
 
 
-def verify_partition(formula: QbfFormula, base_class) -> None:
-    """Require every atom of the declared tractable part to lie in the class.
+@dataclass
+class SolveStats:
+    """An engine's counters for one solve."""
 
-    Engines call this before trusting a partition; the covered part may hold
-    arbitrary clauses.
+    branch_nodes: int = 0
+    leaves: int = 0
+    max_depth: int = 0
+    initial_k: int = 0
+
+
+def verify_partition(formula: QbfFormula, base_class) -> frozenset:
+    """The preamble of every engine: check the partition, return the cover.
+
+    Every atom of the tractable part must lie in the class (else
+    ClassError), the covered part must hold clauses only (ClassError), and
+    every matrix variable must be quantified (DomainError). Returns the
+    variables of the covered clauses.
     """
     bc = _coerce(base_class)
     for i, atom in enumerate(formula.matrix.tractable):
@@ -190,6 +202,8 @@ def verify_partition(formula: QbfFormula, base_class) -> None:
     for i, atom in enumerate(formula.matrix.backdoor):
         if isinstance(atom, AffineEquation):
             raise ClassError(f"covered atom #{i} is an equation; covers hold clauses only")
+    require_quantified(formula)
+    return formula.matrix.backdoor_variables()
 
 
 def _show(atom) -> str:

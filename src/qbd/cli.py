@@ -4,11 +4,13 @@ Subcommands: solve, detect, kernelize, classify, generate, transform,
 bench. `solve` exits 10 when the formula is true and 20 when it is false
 (the usual SAT solver convention); anything that goes wrong exits 1, bad
 usage exits 2. The first stdout line of `solve` is always `s TRUE` or
-`s FALSE`.
+`s FALSE`. `solve --algorithm` takes auto, brute or one of the engine
+names in backdoor.SOLVABLE.
 
 Configuration wins in the order flags > environment > defaults. The
 environment knob is QBD_BRUTE_CAP (variable budget for the brute-force
-fallback, default 24).
+fallback, default oracle.BRUTE_CAP); `solve` and `bench` read it through
+special.resolve_brute_cap.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import asdict, dataclass
 
 from .affine import AffSystem, eval_qaff, kernelize
 from .algebra import classify
-from .backdoor import BaseClass, detect_cc_backdoor
-from .errors import CapError, ParamError, QbdError
+from .backdoor import SOLVABLE, BaseClass, detect_cc_backdoor
+from .errors import CapError, ParamError, ParseError, QbdError
 from .formula import Matrix, QbfFormula
 from .oracle import extract_strategy
 from .qdimacs import parse_qdimacs, parse_relations, write_qdimacs
@@ -35,12 +37,12 @@ from .reductions import (
     mis_to_ihsb_minus,
     parse_graph,
 )
-from .special import dispatch
+from .special import dispatch, resolve_brute_cap
 
 EXIT_TRUE = 10
 EXIT_FALSE = 20
 
-ALGORITHMS = ("auto", "2cnf", "aff", "posneg", "dual-posneg", "brute")
+ALGORITHMS = ("auto", *SOLVABLE, "brute")
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,13 @@ class BenchRecord:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _emit(text: str, out) -> None:
@@ -208,8 +213,7 @@ def _bench_one(iid: str, seed: int, formula: QbfFormula, brute_cap: int):
         return verdict
 
     verdict = run(None)
-    cap = brute_cap if brute_cap is not None else 24
-    if verdict.algorithm != "brute" and len(formula.prefix) <= cap:
+    if verdict.algorithm != "brute" and len(formula.prefix) <= brute_cap:
         run("brute")
     return records
 
@@ -222,6 +226,7 @@ def cmd_bench(args) -> int:
     if not args.suite or not args.out:
         raise ParamError("bench needs --suite and --out (or --verify)")
     tag, count, n, k, seed0 = _parse_suite(args.suite)
+    brute_cap = resolve_brute_cap(args.brute_cap)
     jobs = []
     for i in range(count):
         seed = seed0 + i
@@ -231,7 +236,7 @@ def cmd_bench(args) -> int:
     written = 0
     with open(args.out, "a", encoding="utf-8") as sink:
         for iid, seed, f in jobs:
-            for record in _bench_one(iid, seed, f, args.brute_cap):
+            for record in _bench_one(iid, seed, f, brute_cap):
                 sink.write(json.dumps(asdict(record), sort_keys=True) + "\n")
                 written += 1
     print(f"bench: {len(jobs)} instances, {written} records -> {args.out}")

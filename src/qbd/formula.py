@@ -200,7 +200,7 @@ class Matrix:
     def variables(self) -> frozenset:
         out: set = set()
         for a in self.atoms():
-            out |= atom_vars(a)
+            out.update(a.vars if isinstance(a, AffineEquation) else map(abs, a))
         return frozenset(out)
 
     def backdoor_variables(self) -> frozenset:
@@ -231,6 +231,13 @@ class QbfFormula:
     @property
     def backdoor_size(self) -> int:
         return len(self.matrix.backdoor_variables())
+
+
+def require_quantified(formula: QbfFormula) -> None:
+    """Raise DomainError when a matrix variable is missing from the prefix."""
+    unbound = formula.matrix.variables() - set(formula.prefix.variables())
+    if unbound:
+        raise DomainError(f"matrix variables {sorted(unbound)} not quantified")
 
 
 @dataclass(frozen=True)

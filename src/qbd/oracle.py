@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapError, DomainError, InternalError, ShapeError
+from .errors import CapError, InternalError, ShapeError
 from .formula import (
     EXISTS,
     FORALL,
     AffineEquation,
     QbfFormula,
     eval_matrix,
+    require_quantified,
 )
 
 BRUTE_CAP = 24
@@ -50,9 +51,7 @@ def matrix_table(formula: QbfFormula) -> int:
     n = len(formula.prefix)
     total = 1 << n
     full = (1 << total) - 1
-    unbound = formula.matrix.variables() - set(formula.prefix.variables())
-    if unbound:
-        raise DomainError(f"matrix variables {sorted(unbound)} not quantified")
+    require_quantified(formula)
     masks = _var_masks(formula, total)
     acc = full
     for atom in formula.matrix.atoms():

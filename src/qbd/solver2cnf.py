@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backdoor import BaseClass, verify_partition
-from .errors import DomainError, InternalError
+from .backdoor import BaseClass, SolveStats, verify_partition
+from .errors import InternalError
 from .formula import FORALL, QbfFormula
 # unused here, but bench/tracer.py wraps this name on this module
 from .formula import apply_assignment  # noqa: F401
@@ -54,22 +54,6 @@ class StepDecision:
     pivot: int = None
     U: dict = None
     arms: tuple = None
-
-
-@dataclass
-class SolveStats:
-    branch_nodes: int = 0
-    leaves: int = 0
-    max_depth: int = 0
-    initial_k: int = 0
-
-
-def _validate(formula: QbfFormula) -> None:
-    verify_partition(formula, BaseClass("2cnf"))
-    # every atom is a clause now
-    unbound = {abs(l) for c in formula.matrix.atoms() for l in c} - set(formula.prefix.variables())
-    if unbound:
-        raise DomainError(f"matrix variables {sorted(unbound)} not quantified")
 
 
 def _decision(formula: QbfFormula) -> StepDecision:
@@ -131,7 +115,7 @@ def _decision(formula: QbfFormula) -> StepDecision:
 
 def step(formula: QbfFormula) -> StepDecision:
     """The solver's decision at the current state, without recursing."""
-    _validate(formula)
+    verify_partition(formula, BaseClass("2cnf"))
     return _decision(formula)
 
 
@@ -418,6 +402,5 @@ class _Search:
 
 def solve(formula: QbfFormula):
     """Decide the formula; returns (value, SolveStats)."""
-    _validate(formula)
-    stats = SolveStats(initial_k=len(formula.matrix.backdoor_variables()))
+    stats = SolveStats(initial_k=len(verify_partition(formula, BaseClass("2cnf"))))
     return _Search(formula).run(stats), stats

@@ -18,15 +18,19 @@ import os
 import warnings
 from dataclasses import dataclass
 
-from .backdoor import SOLVABLE, BaseClass, detect_cc_backdoor, verify_partition
-from .errors import CapError, ClassError, DomainError
+from .backdoor import (
+    SOLVABLE,
+    BaseClass,
+    SolveStats,
+    detect_cc_backdoor,
+    rank_classes,
+    verify_partition,
+)
+from .errors import CapError, ClassError
 from .formula import QbfFormula, apply_assignment
-from .oracle import eval_bruteforce
+from .oracle import BRUTE_CAP, eval_bruteforce
 from .affine import solve_aff
-from .solver2cnf import SolveStats
 from .solver2cnf import solve as solve_2cnf
-
-DEFAULT_BRUTE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -40,11 +44,7 @@ class Verdict:
 
 
 def _solve_sign(formula: QbfFormula, kind: str, good: int):
-    verify_partition(formula, BaseClass(kind))
-    unbound = formula.matrix.variables() - set(formula.prefix.variables())
-    if unbound:
-        raise DomainError(f"matrix variables {sorted(unbound)} not quantified")
-    cover = formula.matrix.backdoor_variables()
+    cover = verify_partition(formula, BaseClass(kind))
     stats = SolveStats(initial_k=len(cover))
     f = formula
     while True:
@@ -87,22 +87,22 @@ def solve_dual_posneg(formula: QbfFormula):
     return _solve_sign(formula, "dual-posneg", 0)
 
 
-_ENGINES = {
-    "2cnf": solve_2cnf,
-    "aff": solve_aff,
-    "posneg": solve_posneg,
-    "dual-posneg": solve_dual_posneg,
-}
+# one engine per solvable class, in the order of SOLVABLE
+_ENGINES = dict(zip(SOLVABLE, (solve_2cnf, solve_aff, solve_posneg, solve_dual_posneg)))
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
+def resolve_brute_cap(flag: int = None) -> int:
+    """The variable budget for brute force: the flag if given, else
+    QBD_BRUTE_CAP, else oracle.BRUTE_CAP."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get("QBD_BRUTE_CAP")
     if raw is None:
-        return fallback
+        return BRUTE_CAP
     try:
         return int(raw)
     except ValueError:
-        raise CapError(f"{name} must be an integer, got {raw!r}") from None
+        raise CapError(f"QBD_BRUTE_CAP must be an integer, got {raw!r}") from None
 
 
 def _brute(formula: QbfFormula, cap) -> Verdict:
@@ -116,16 +116,15 @@ def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None,
              fallback: bool = True) -> Verdict:
     """Decide the formula with the best available engine.
 
-    `algorithm` forces one of 2cnf, aff, posneg, dual-posneg, or brute; a
-    formula declaring a different class is refused. Otherwise every
-    solvable class is tried and the smallest cover wins, the declared
-    class breaking ties. A cover as large as the variable count buys
-    nothing: such formulas fall back to brute force under `brute_cap`
-    (default from QBD_BRUTE_CAP, else 24), run the covered engine anyway
-    with a warning above it, or raise CapError when `fallback` is off.
+    `algorithm` forces one of the SOLVABLE engines or brute; a formula
+    declaring a different class is refused. Otherwise every solvable class
+    is tried and the smallest cover wins, the declared class breaking ties.
+    A cover as large as the variable count buys nothing: such formulas fall
+    back to brute force under `brute_cap` (see resolve_brute_cap), run the
+    covered engine anyway with a warning above it, or raise CapError when
+    `fallback` is off.
     """
-    if brute_cap is None:
-        brute_cap = _env_int("QBD_BRUTE_CAP", DEFAULT_BRUTE_CAP)
+    brute_cap = resolve_brute_cap(brute_cap)
     n = len(formula.prefix)
     if algorithm is not None:
         if algorithm == "brute":
@@ -139,28 +138,18 @@ def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None,
         bd = detect_cc_backdoor(formula, algorithm)
         value, stats = _ENGINES[algorithm](bd.formula)
         return Verdict(value, algorithm, stats)
-    candidates = list(SOLVABLE)
     declared = formula.base_class.kind if formula.base_class is not None else None
-    if declared in candidates:
-        candidates.remove(declared)
-        candidates.insert(0, declared)
-    best = None
-    for tag in candidates:
-        try:
-            bd = detect_cc_backdoor(formula, tag)
-        except ClassError:
-            continue
-        if best is None or bd.k < best.k:
-            best = bd
-    if best is None or best.k >= n > 0:
+    candidates = sorted(SOLVABLE, key=lambda tag: tag != declared)  # declared first
+    # aff covers every formula (equations are always inside it), so the
+    # ranking is never empty
+    best = rank_classes(formula, candidates)[0]
+    if best.k >= n > 0:
         if fallback and n <= brute_cap:
             return _brute(formula, brute_cap)
         if not fallback:
             raise CapError(
                 f"no cover smaller than the {n} variables and fallback is disabled"
             )
-        if best is None:
-            raise CapError(f"{n} variables exceed the brute-force cap {brute_cap}")
         warnings.warn(
             f"no cover smaller than the {n} variables; running {best.base_class.tag} "
             f"with k={best.k} anyway",

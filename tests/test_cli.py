@@ -102,6 +102,17 @@ class TestSolve:
         assert cli.run(["solve", str(tmp_path / "nope")]) == 1
         assert capsys.readouterr().err.startswith("qbd:")
 
+    def test_non_utf8_input_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "latin1.qdimacs"
+        p.write_bytes(b"c caf\xe9\np cnf 1 1\ne 1 0\n1 0\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+        for source in (str(p), "-"):
+            assert cli.run(["solve", source]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"qbd: {source}: not UTF-8 text")
+            assert len(captured.err.splitlines()) == 1
+
     def test_brute_cap_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "wide.qdimacs"
         p.write_text("p cnf 3 2\ne 1 2 3 0\n1 -2 3 0\n-1 2 -3 0\n")
@@ -242,6 +253,19 @@ class TestBench:
         assert "instances 5  records 10" in out
         assert "agree 5  disagree 0" in out
         assert "leaf-budget over 0" in out
+
+    def test_brute_cap_env_bounds_the_cross_check(self, tmp_path, capsys, monkeypatch):
+        # the brute cross-check and dispatch read the same cap: at n=14 over
+        # a cap of 10 neither runs brute force
+        log = tmp_path / "log.jsonl"
+        monkeypatch.setenv("QBD_BRUTE_CAP", "10")
+        assert cli.run(["bench", "--suite", "2cnf:3:14:5", "--out", str(log)]) == 0
+        rows = [json.loads(l) for l in log.read_text().splitlines()]
+        assert [r["algorithm"] for r in rows] == ["2cnf"] * 3
+        monkeypatch.setenv("QBD_BRUTE_CAP", "14")
+        assert cli.run(["bench", "--suite", "2cnf:3:14:5", "--out", str(log)]) == 0
+        rows = [json.loads(l) for l in log.read_text().splitlines()]
+        assert [r["algorithm"] for r in rows[3:]] == ["2cnf", "brute"] * 3
 
     def test_append_safe(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"

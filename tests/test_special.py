@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from qbd.backdoor import BaseClass
-from qbd.errors import CapError, ClassError
+from qbd.backdoor import SOLVABLE, BaseClass, rank_classes
+from qbd.errors import CapError, ClassError, DomainError
 from qbd.formula import Matrix, Prefix, QbfFormula, clause
-from qbd.special import Verdict, dispatch, solve_dual_posneg, solve_posneg
+from qbd.reductions import GenParams, gen_random
+from qbd.special import _ENGINES, Verdict, dispatch, solve_dual_posneg, solve_posneg
 from helpers import naive_eval, random_prefix, running_example
 
 
@@ -74,6 +76,34 @@ class TestSignEngines:
             value, stats = solve_dual_posneg(f)
             assert value == naive_eval(f), f
             assert stats.leaves <= 1 << stats.initial_k, f
+
+
+# per engine, a clause outside its class
+OUT_OF_CLASS = {
+    "2cnf": clause(1, 2, 3),
+    "aff": clause(1, 2),
+    "posneg": clause(-1, -2),
+    "dual-posneg": clause(1, 2),
+}
+
+
+class TestPreamble:
+    """Every engine starts with backdoor.verify_partition."""
+
+    @pytest.mark.parametrize("name", _ENGINES)
+    def test_unquantified_matrix_variable(self, name):
+        for f in (instance("e1", [clause(2)]), instance("e1", [], [clause(1, 2)])):
+            with pytest.raises(DomainError, match=r"matrix variables \[2\] not quantified"):
+                _ENGINES[name](f)
+
+    @pytest.mark.parametrize("name", _ENGINES)
+    def test_out_of_class_tractable_atom(self, name):
+        atom = OUT_OF_CLASS[name]
+        with pytest.raises(ClassError, match=f"not in {name}"):
+            _ENGINES[name](instance("e1 e2 e3", [atom]))
+        # class membership is checked before quantification
+        with pytest.raises(ClassError, match=f"not in {name}"):
+            _ENGINES[name](instance("e1", [atom]))
 
 
 class TestDispatch:
@@ -146,3 +176,25 @@ class TestDispatch:
         for _ in range(400):
             f = random_mixed(rng, max_n=6)
             assert dispatch(f).value == naive_eval(f), f
+
+    def test_same_engine_and_k_as_the_head_of_the_ranking(self):
+        # sparse tractable parts, so that covers of equal size are common
+        checked = tie_broken = 0
+        for seed in range(160):
+            n = 3 + seed % 6
+            params = GenParams(n=n, k=seed % n, tag=SOLVABLE[seed % 4], tractable_density=0.4)
+            bare = replace(gen_random(params, seed), base_class=None)
+            head = rank_classes(bare, SOLVABLE)[0]
+            for declared in (None, *SOLVABLE):
+                f = replace(bare, base_class=BaseClass(declared) if declared else None)
+                first = [declared] if declared else []
+                best = rank_classes(f, first + [t for t in SOLVABLE if t != declared])[0]
+                if best.k >= n:
+                    continue
+                v = dispatch(f)
+                assert (v.algorithm, v.stats.initial_k) == (best.base_class.tag, best.k), (seed, f)
+                checked += 1
+                tie_broken += best.base_class.kind != head.base_class.kind
+        assert checked > 600
+        # the declared class decided a tie in this many cases
+        assert tie_broken > 40
