@@ -35,23 +35,30 @@ from .errors import (
 from .formula import EXISTS, AffineEquation, Prefix, QbfFormula
 
 
-def _normalize(prefix: Prefix, rows) -> tuple:
+def _dedupe(rows) -> list:
+    """Drop trivial rows and keep the first of each set of equal rows."""
     out = []
     seen = set()
     for eq in rows:
-        if not isinstance(eq, AffineEquation):
-            raise ClassError(f"affine systems hold equations, got {eq!r}")
         if eq.is_trivial:
             continue
-        for v in eq.vars:
-            if v not in prefix:
-                raise DomainError(f"variable {v} not quantified")
         key = (eq.vars, eq.rhs)
         if key in seen:
             continue
         seen.add(key)
         out.append(eq)
-    return tuple(out)
+    return out
+
+
+def _normalize(prefix: Prefix, rows) -> tuple:
+    rows = tuple(rows)
+    for eq in rows:
+        if not isinstance(eq, AffineEquation):
+            raise ClassError(f"affine systems hold equations, got {eq!r}")
+        for v in eq.vars:
+            if v not in prefix:
+                raise DomainError(f"variable {v} not quantified")
+    return tuple(_dedupe(rows))
 
 
 @dataclass(frozen=True)
@@ -94,22 +101,38 @@ def _combine(eq: AffineEquation, base: AffineEquation) -> AffineEquation:
     return AffineEquation(eq.vars ^ base.vars, eq.rhs ^ base.rhs)
 
 
+def _pivot(rows, x: int, i: int) -> list:
+    """The row operation behind pivot, elim, eval_qaff and kernelize, on
+    rows an AffSystem has already checked: add row i into every other row
+    holding x, then drop trivial and duplicate rows."""
+    base = rows[i]
+    return _dedupe(
+        _combine(eq, base) if j != i and x in eq.vars else eq
+        for j, eq in enumerate(rows)
+    )
+
+
+def _eliminate(rows, x: int, i: int) -> list:
+    """Pivot x at row i, then drop row i, the one row still holding x."""
+    return [eq for eq in _pivot(rows, x, i) if x not in eq.vars]
+
+
+def _checked_row(system: AffSystem, x: int, i: int) -> AffineEquation:
+    if not 0 <= i < len(system.rows):
+        raise IndexError(f"equation index {i} out of range")
+    base = system.rows[i]
+    if x not in base.vars:
+        raise MissingVarError(f"variable {x} not in equation {i}")
+    return base
+
+
 def pivot(system: AffSystem, x: int, i: int) -> AffSystem:
     """Add equation i into every other equation containing x.
 
     Afterwards x occurs in equation i only; the solution set is unchanged.
     """
-    rows = system.rows
-    if not 0 <= i < len(rows):
-        raise IndexError(f"equation index {i} out of range")
-    base = rows[i]
-    if x not in base.vars:
-        raise MissingVarError(f"variable {x} not in equation {i}")
-    out = [
-        eq if j == i or x not in eq.vars else _combine(eq, base)
-        for j, eq in enumerate(rows)
-    ]
-    return AffSystem(system.prefix, tuple(out))
+    _checked_row(system, x, i)
+    return AffSystem(system.prefix, tuple(_pivot(system.rows, x, i)))
 
 
 def elim(system: AffSystem, x: int, i: int) -> AffSystem:
@@ -119,22 +142,12 @@ def elim(system: AffSystem, x: int, i: int) -> AffSystem:
     the player owning x can settle that equation after every other
     variable it mentions is fixed.
     """
-    rows = system.rows
-    if not 0 <= i < len(rows):
-        raise IndexError(f"equation index {i} out of range")
-    base = rows[i]
-    if x not in base.vars:
-        raise MissingVarError(f"variable {x} not in equation {i}")
+    base = _checked_row(system, x, i)
     if system.prefix.innermost_of(base.vars) != x:
         raise InnermostError(f"variable {x} is not innermost in equation {i}")
     if not system.prefix.is_existential(x):
         raise QuantifierError(f"variable {x} is universal; only existential variables eliminate")
-    out = [
-        eq if x not in eq.vars else _combine(eq, base)
-        for j, eq in enumerate(rows)
-        if j != i
-    ]
-    return AffSystem(system.prefix, tuple(out))
+    return AffSystem(system.prefix, tuple(_eliminate(system.rows, x, i)))
 
 
 def eval_qaff(system: AffSystem) -> bool:
@@ -144,15 +157,15 @@ def eval_qaff(system: AffSystem) -> bool:
     equation whose innermost variable is universal; true once every
     equation is eliminated.
     """
-    cur = system
-    while cur.rows:
-        if any(eq.is_contradiction for eq in cur.rows):
+    prefix = system.prefix
+    rows = system.rows
+    while rows:
+        if any(eq.is_contradiction for eq in rows):
             return False
-        first = cur.rows[0]
-        x = cur.prefix.innermost_of(first.vars)
-        if cur.prefix.is_universal(x):
+        x = prefix.innermost_of(rows[0].vars)
+        if prefix.is_universal(x):
             return False
-        cur = elim(cur, x, 0)
+        rows = _eliminate(rows, x, 0)
     return True
 
 
@@ -165,10 +178,6 @@ class KernelResult:
     reduced_prefix: Prefix
     reduced_system: AffSystem
     forced: tuple
-
-
-def _innermost(prefix: Prefix, eq: AffineEquation) -> int:
-    return prefix.innermost_of(eq.vars)
 
 
 def kernelize(system: AffSystem, cover) -> KernelResult:
@@ -189,48 +198,29 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
         if any(eq.is_contradiction for eq in rows):
             raise PreconditionError("the parity rows are contradictory; evaluate first")
 
-    def pivot_here(x: int, i: int):
-        nonlocal rows
-        base = rows[i]
-        out = []
-        seen = set()
-        for j, eq in enumerate(rows):
-            if j != i and x in eq.vars:
-                eq = _combine(eq, base)
-            if eq.is_trivial:
-                continue
-            key = (eq.vars, eq.rhs)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(eq)
-        rows = out
-
     # make every innermost variable covered, existential, and unshared
     while True:
         barf_on_bottom()
         acted = False
         for i, eq in enumerate(rows):
-            v = _innermost(prefix, eq)
+            v = prefix.innermost_of(eq.vars)
             if v not in X:
                 if prefix.is_universal(v):
                     raise PreconditionError(
                         f"universal variable {v} is innermost in an equation; the parity game is false"
                     )
-                pivot_here(v, i)
-                # v now occurs in the pivoted equation only; dropping it is elim
-                rows = [r for r in rows if v not in r.vars]
+                rows = _eliminate(rows, v, i)
                 acted = True
                 break
         if acted:
             continue
         holders = {}
         for i, eq in enumerate(rows):
-            holders.setdefault(_innermost(prefix, eq), []).append(i)
+            holders.setdefault(prefix.innermost_of(eq.vars), []).append(i)
         shared = [(v, idxs) for v, idxs in holders.items() if len(idxs) > 1]
         if shared:
             v, idxs = shared[0]
-            pivot_here(v, idxs[0])
+            rows = _pivot(rows, v, idxs[0])
             continue
         break
 
@@ -268,12 +258,12 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
             outside = [v for v in rows[i].vars if v not in X]
             if max(outside, key=prefix.position) != w_star:
                 raise InternalError("a deeper uncovered variable hides behind the pivot")
-        host = min(carriers, key=lambda i: prefix.position(_innermost(prefix, rows[i])))
-        pivot_here(w_star, host)
+        host = min(carriers, key=lambda i: prefix.position(prefix.innermost_of(rows[i].vars)))
+        rows = _pivot(rows, w_star, host)
 
     inner = []
     for eq in rows:
-        v = _innermost(prefix, eq)
+        v = prefix.innermost_of(eq.vars)
         if v not in X or not prefix.is_existential(v):
             raise InternalError(f"kernel equation keeps a bad innermost variable {v}")
         inner.append(v)
@@ -289,7 +279,7 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
         raise InternalError("kernel keeps too many variables")
     reduced_prefix = prefix.restrict(kept)
     forced = tuple(
-        sorted(((_innermost(prefix, eq), eq) for eq in rows), key=lambda t: prefix.position(t[0]))
+        sorted(((prefix.innermost_of(eq.vars), eq) for eq in rows), key=lambda t: prefix.position(t[0]))
     )
     return KernelResult(reduced_prefix, AffSystem(reduced_prefix, tuple(rows)), forced)
 
@@ -306,40 +296,41 @@ def solve_aff(formula: QbfFormula):
         return False, stats
     kr = kernelize(system, cover)
     order = kr.reduced_prefix.entries
-    forced_by = {v: eq for v, eq in kr.forced}
+    forced_by = dict(kr.forced)
     clauses = formula.matrix.backdoor
-
-    def leaf(tau: dict) -> bool:
+    # Depth first over `order` without recursion, so deep prefixes fit.
+    # tau needs no undo: a forced row reads only outer variables, and a
+    # position is assigned again before anything reads it.
+    tau = {}
+    open_branches = []  # positions of branch nodes whose arm 1 is untried
+    i = 0
+    while True:
+        while i < len(order):
+            v, _ = order[i]
+            eq = forced_by.get(v)
+            if eq is None:
+                stats.branch_nodes += 1
+                open_branches.append(i)
+                tau[v] = 0
+            else:
+                val = eq.rhs
+                for u in eq.vars:
+                    if u != v:
+                        val ^= tau[u]
+                tau[v] = val
+            i += 1
         stats.leaves += 1
-        for c in clauses:
-            if not any(tau[abs(l)] == (1 if l > 0 else 0) for l in c):
-                return False
-        return True
-
-    def walk(i: int, tau: dict, depth: int) -> bool:
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        if i == len(order):
-            return leaf(tau)
-        v, q = order[i]
-        eq = forced_by.get(v)
-        if eq is not None:
-            val = eq.rhs
-            for u in eq.vars:
-                if u != v:
-                    val ^= tau[u]
-            tau[v] = val
-            out = walk(i + 1, tau, depth + 1)
-            del tau[v]
-            return out
-        stats.branch_nodes += 1
-        want = q == EXISTS
-        for b in (0, 1):
-            tau[v] = b
-            got = walk(i + 1, tau, depth + 1)
-            del tau[v]
-            if got == want:
-                return want
-        return not want
-    value = walk(0, {}, 0)
-    return value, stats
+        value = all(any(tau[abs(l)] == (1 if l > 0 else 0) for l in c) for c in clauses)
+        # A branch node takes the value of the last arm it tried; it tries
+        # arm 1 only when arm 0 went against its owner.
+        while open_branches:
+            v, q = order[open_branches[-1]]
+            if tau[v] == 0 and value != (q == EXISTS):
+                break
+            open_branches.pop()
+        if not open_branches:
+            stats.max_depth = len(order)  # every path ends at a leaf
+            return value, stats
+        i = open_branches[-1]
+        tau[order[i][0]] = 1
+        i += 1

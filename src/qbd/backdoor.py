@@ -154,7 +154,6 @@ def detect_cc_backdoor(formula: QbfFormula, base_class) -> CcBackdoor:
         prefix=formula.prefix,
         matrix=Matrix(tuple(inside), tuple(outside)),
         base_class=bc,
-        keep_unused=formula.keep_unused,
     )
     return CcBackdoor(bc, variables, repart)
 

@@ -10,7 +10,8 @@ names in backdoor.SOLVABLE.
 Configuration wins in the order flags > environment > defaults. The
 environment knob is QBD_BRUTE_CAP (variable budget for the brute-force
 fallback, default oracle.BRUTE_CAP); `solve` and `bench` read it through
-special.resolve_brute_cap.
+special.resolve_brute_cap. The same cap bounds the truth table behind
+`solve --emit-strategy`.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ def _load_formula(path: str, class_tag=None) -> QbfFormula:
 def cmd_solve(args) -> int:
     formula = _load_formula(args.file, args.klass)
     algorithm = None if args.algorithm == "auto" else args.algorithm
+    brute_cap = resolve_brute_cap(args.brute_cap)
     started = time.perf_counter()
-    verdict = dispatch(formula, algorithm=algorithm, brute_cap=args.brute_cap)
+    verdict = dispatch(formula, algorithm=algorithm, brute_cap=brute_cap)
     elapsed = time.perf_counter() - started
     print(f"s {'TRUE' if verdict.value else 'FALSE'}")
     print(f"c algorithm {verdict.algorithm}")
@@ -101,7 +103,7 @@ def cmd_solve(args) -> int:
     print(f"c wall-time {elapsed:.6f}")
     if args.emit_strategy:
         try:
-            tree = extract_strategy(formula)
+            tree = extract_strategy(formula, brute_cap)
             _emit(tree.to_text() + "\n", args.emit_strategy)
         except CapError as exc:
             print(f"qbd: strategy not written: {exc}", file=sys.stderr)
@@ -285,7 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--emit-strategy", metavar="PATH",
                    help="write a winning strategy tree here")
     s.add_argument("--brute-cap", type=int, metavar="N",
-                   help="variable budget for brute force (over QBD_BRUTE_CAP)")
+                   help="variable budget for brute force, --emit-strategy included "
+                        "(over QBD_BRUTE_CAP)")
     s.set_defaults(fn=cmd_solve)
 
     d = sub.add_parser("detect", help="print the cover for a class, k first")

@@ -21,10 +21,6 @@ class ClassError(QbdError):
     """An atom or formula violates the declared base class."""
 
 
-class StateError(QbdError):
-    """An operation was called on a value in the wrong state."""
-
-
 class ParseError(QbdError):
     """Malformed input text.
 

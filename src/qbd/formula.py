@@ -215,14 +215,13 @@ class QbfFormula:
     """Closed prenex QBF with a partitioned CNF/XOR matrix.
 
     `base_class` names the class the tractable part is declared to live in
-    (see backdoor.BaseClass); None means undeclared. `keep_unused` permits
-    prefix variables that the matrix never mentions.
+    (see backdoor.BaseClass); None means undeclared. Prefix variables the
+    matrix never mentions are allowed.
     """
 
     prefix: Prefix
     matrix: Matrix
     base_class: object = None
-    keep_unused: bool = True
 
     @property
     def n_variables(self) -> int:
@@ -303,7 +302,6 @@ def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
         prefix=formula.prefix.without(tau),
         matrix=Matrix(tuple(tract), tuple(back)),
         base_class=formula.base_class,
-        keep_unused=formula.keep_unused,
     )
 
 
@@ -337,9 +335,6 @@ def validate(formula: QbfFormula) -> list:
     mv = formula.matrix.variables()
     for v in sorted(mv - pv):
         out.append(Violation("unquantified", f"variable {v} occurs in the matrix but not the prefix"))
-    if not formula.keep_unused:
-        for v in sorted(pv - mv):
-            out.append(Violation("unused", f"prefix variable {v} never occurs in the matrix"))
     for where, atoms in (("tractable", formula.matrix.tractable), ("backdoor", formula.matrix.backdoor)):
         for i, a in enumerate(atoms):
             if isinstance(a, AffineEquation):
@@ -371,5 +366,4 @@ def canonical(formula: QbfFormula) -> QbfFormula:
             tuple(sorted(formula.matrix.backdoor, key=_atom_key)),
         ),
         base_class=formula.base_class,
-        keep_unused=formula.keep_unused,
     )

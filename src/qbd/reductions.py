@@ -195,7 +195,6 @@ def horn_to_3horn(formula: QbfFormula) -> QbfFormula:
         prefix=Prefix(tuple(entries)),
         matrix=Matrix(tuple(out), formula.matrix.backdoor),
         base_class=BaseClass("horn", 3),
-        keep_unused=formula.keep_unused,
     )
 
 
@@ -217,7 +216,6 @@ def dualize(formula: QbfFormula) -> QbfFormula:
             tuple(flip(a) for a in formula.matrix.backdoor),
         ),
         base_class=bc,
-        keep_unused=formula.keep_unused,
     )
 
 

@@ -183,6 +183,14 @@ class TestKernelize:
         assert kr.reduced_system.rows == (eq(1, 2, 4),)
         assert kr.forced == ((4, eq(1, 2, 4)),)
 
+    def test_a_pivot_that_makes_a_duplicate_row(self):
+        # eliminating x3 turns x2+x3=0 into x1+x2=1, a copy of the last row
+        s = system("e1 e2 e3", eq(1, 1, 3), eq(0, 2, 3), eq(1, 1, 2))
+        kr = kernelize(s, {1, 2})
+        assert kr.reduced_prefix.to_string() == "e1 e2"
+        assert kr.reduced_system.rows == (eq(1, 1, 2),)
+        assert kr.forced == ((2, eq(1, 1, 2)),)
+
     def test_empty_inputs(self):
         kr = kernelize(system("e1 a2"), set())
         assert kr.reduced_prefix.entries == ()

@@ -98,6 +98,42 @@ class TestSolve:
         assert captured.out.splitlines()[0] == "s TRUE"
         assert captured.err == ""
 
+    def test_deep_parity_cover(self, tmp_path, capsys):
+        # 1,300 existentials, one parity row on the two innermost, and one
+        # covered clause over the first 1,200: the aff walk is 1,200 deep
+        n = 1300
+        p = tmp_path / "deep-aff.qdimacs"
+        p.write_text(
+            f"p cnf {n} 2\ne {' '.join(map(str, range(1, n + 1)))} 0\n"
+            f"x {n - 1} {n} 0\nc backdoor-begin\n{' '.join(map(str, range(1, 1201)))} 0\n"
+        )
+        started = time.perf_counter()
+        assert cli.run(["solve", str(p)]) == 10
+        assert time.perf_counter() - started < 10
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "s TRUE"
+        assert "c algorithm aff" in lines
+        assert "c k 1200" in lines
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_emit_strategy_obeys_the_brute_cap(self, source, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "six.qdimacs"
+        p.write_text("c class 2cnf\np cnf 6 3\ne 1 2 3 4 5 6 0\n1 2 0\n-3 4 0\n"
+                     "c backdoor-begin\n5 -6 1 0\n")
+        target = tmp_path / "tree.txt"
+        argv = ["solve", str(p), "--emit-strategy", str(target)]
+        if source == "flag":
+            argv += ["--brute-cap", "4"]
+        else:
+            monkeypatch.setenv("QBD_BRUTE_CAP", "4")
+        assert cli.run(argv) == 10
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "s TRUE"
+        assert not target.exists()
+        assert captured.err == "qbd: strategy not written: 6 variables exceed the brute-force cap 4\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert cli.run(["solve", str(tmp_path / "nope")]) == 1
         assert capsys.readouterr().err.startswith("qbd:")

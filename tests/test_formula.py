@@ -163,10 +163,6 @@ class TestValidate:
     def test_unused_prefix_variable_only_when_tracked(self):
         lax = QbfFormula(Prefix.from_string("e1 e2"), Matrix((clause(1),), ()))
         assert validate(lax) == []
-        strict = QbfFormula(
-            Prefix.from_string("e1 e2"), Matrix((clause(1),), ()), keep_unused=False
-        )
-        assert [v.code for v in validate(strict)] == ["unused"]
 
     def test_handmade_garbage_is_reported(self):
         f = QbfFormula(
