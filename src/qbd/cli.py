@@ -3,9 +3,10 @@
 Subcommands: solve, detect, kernelize, classify, generate, transform,
 bench. `solve` exits 10 when the formula is true and 20 when it is false
 (the usual SAT solver convention); anything that goes wrong exits 1, bad
-usage exits 2. The first stdout line of `solve` is always `s TRUE` or
-`s FALSE`. `solve --algorithm` takes auto, brute or one of the engine
-names in backdoor.SOLVABLE.
+usage exits 2. Each warning is one `qbd: warning:` line on stderr. The
+first stdout line of `solve` is always `s TRUE` or `s FALSE`.
+`solve --algorithm` takes auto, brute or one of the engine names in
+backdoor.SOLVABLE.
 
 Configuration wins in the order flags > environment > defaults. The
 environment knob is QBD_BRUTE_CAP (variable budget for the brute-force
@@ -20,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 
 from .affine import AffSystem, eval_qaff, kernelize
@@ -344,16 +346,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"qbd: warning: {message}", file=sys.stderr)
+
+
 def run(argv) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except QbdError as exc:
-        print(f"qbd: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"qbd: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            return args.fn(args)
+        except (QbdError, OSError) as exc:
+            print(f"qbd: {exc}", file=sys.stderr)
+            return 1
 
 
 def main(argv=None) -> None:

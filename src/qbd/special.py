@@ -1,11 +1,12 @@
 """Engines for sign-uniform matrices, and the algorithm dispatcher.
 
 A matrix of positive clauses plus negative units (or its mirror image) is
-solved by unit propagation followed by dominant moves: once no units are
-left, a variable with only positive occurrences is best set to 1 by its
-owner and to 0 by the opponent, so every uncovered variable's move is known
-in advance. What survives lives entirely on covered variables and is
-enumerated, at most 2^k plays.
+solved by unit propagation in rounds (each round substitutes every unit at
+once; propagation is confluent, so the fixpoint is the unit-at-a-time one),
+then dominant moves: with no units left, a variable with only positive
+occurrences is best set to 1 by its owner and to 0 by the opponent, so every
+uncovered variable's move is known in advance. What survives lives entirely
+on covered variables and is enumerated, at most 2^k plays.
 
 dispatch() picks an engine: a forced one, or the smallest detected cover
 among the solvable classes, with brute force as the fallback when no cover
@@ -47,26 +48,24 @@ def _solve_sign(formula: QbfFormula, kind: str, good: int):
     cover = verify_partition(formula, BaseClass(kind))
     stats = SolveStats(initial_k=len(cover))
     f = formula
-    while True:
-        unit = None
+    while True:  # a round: collect every unit, then rebuild once
+        units = {}
         for atom in f.matrix.atoms():
-            if len(atom) == 0:
-                stats.leaves = 1
-                return False, stats
-            if len(atom) == 1 and unit is None:
-                unit = atom
-        if unit is None:
-            break
-        (l,) = unit
-        v = abs(l)
-        if f.prefix.is_universal(v):
+            if not atom:
+                units = None
+                break
+            if len(atom) == 1:
+                (l,) = atom
+                units[abs(l)] = 1 if l > 0 else 0
+        if units is None or any(f.prefix.is_universal(v) for v in units):
             stats.leaves = 1
             return False, stats
-        f = apply_assignment(f, {v: 1 if l > 0 else 0})
-    dominant = {}
-    for v in f.prefix.variables():
-        if v not in cover:
-            dominant[v] = good if f.prefix.is_existential(v) else 1 - good
+        if not units:
+            break
+        # units x and -x overwrite each other; the next round sees the empty clause
+        f = apply_assignment(f, units)
+    dominant = {v: good if f.prefix.is_existential(v) else 1 - good
+                for v in f.prefix.variables() if v not in cover}
     if dominant:
         f = apply_assignment(f, dominant)
     rest = len(f.prefix)
@@ -112,17 +111,15 @@ def _brute(formula: QbfFormula, cap) -> Verdict:
     return Verdict(value, "brute", stats)
 
 
-def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None,
-             fallback: bool = True) -> Verdict:
+def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None) -> Verdict:
     """Decide the formula with the best available engine.
 
     `algorithm` forces one of the SOLVABLE engines or brute; a formula
     declaring a different class is refused. Otherwise every solvable class
     is tried and the smallest cover wins, the declared class breaking ties.
     A cover as large as the variable count buys nothing: such formulas fall
-    back to brute force under `brute_cap` (see resolve_brute_cap), run the
-    covered engine anyway with a warning above it, or raise CapError when
-    `fallback` is off.
+    back to brute force under `brute_cap` (see resolve_brute_cap) and run
+    the covered engine anyway, with a warning, above it.
     """
     brute_cap = resolve_brute_cap(brute_cap)
     n = len(formula.prefix)
@@ -144,12 +141,8 @@ def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None,
     # ranking is never empty
     best = rank_classes(formula, candidates)[0]
     if best.k >= n > 0:
-        if fallback and n <= brute_cap:
+        if n <= brute_cap:
             return _brute(formula, brute_cap)
-        if not fallback:
-            raise CapError(
-                f"no cover smaller than the {n} variables and fallback is disabled"
-            )
         warnings.warn(
             f"no cover smaller than the {n} variables; running {best.base_class.tag} "
             f"with k={best.k} anyway",

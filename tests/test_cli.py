@@ -149,6 +149,25 @@ class TestSolve:
             assert captured.err.startswith(f"qbd: {source}: not UTF-8 text")
             assert len(captured.err.splitlines()) == 1
 
+    def test_each_warning_is_one_line(self, tmp_path, capsys):
+        # the header claims 5 matrix lines, and variable 2 is unquantified
+        p = tmp_path / "sloppy.qdimacs"
+        p.write_text("p cnf 2 5\ne 1 0\n1 2 0\n")
+        assert cli.run(["solve", str(p)]) == 10
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "s TRUE"
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("qbd: warning: ") for line in err), err
+
+    def test_over_cap_note_is_one_warning_line(self, tmp_path, capsys):
+        p = tmp_path / "wide.qdimacs"
+        p.write_text("p cnf 3 2\ne 1 2 3 0\n1 -2 3 0\n-1 2 -3 0\n")
+        assert cli.run(["solve", str(p), "--brute-cap", "2"]) == 10
+        assert capsys.readouterr().err.splitlines() == [
+            "qbd: warning: no cover smaller than the 3 variables; running 2cnf with k=3 anyway"
+        ]
+
     def test_brute_cap_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "wide.qdimacs"
         p.write_text("p cnf 3 2\ne 1 2 3 0\n1 -2 3 0\n-1 2 -3 0\n")

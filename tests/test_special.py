@@ -3,10 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from qbd.backdoor import SOLVABLE, BaseClass, rank_classes
+from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, rank_classes
 from qbd.errors import CapError, ClassError, DomainError
 from qbd.formula import Matrix, Prefix, QbfFormula, clause
-from qbd.reductions import GenParams, gen_random
+from qbd.reductions import GenParams, dualize, gen_random
 from qbd.special import _ENGINES, Verdict, dispatch, solve_dual_posneg, solve_posneg
 from helpers import naive_eval, random_prefix, running_example
 
@@ -54,6 +54,32 @@ class TestSignEngines:
         f = instance("e1", [clause(1)], [clause(-1)])
         value, stats = solve_posneg(f)
         assert value is False
+
+    def test_round_two_fixes_a_covered_variable(self):
+        # round 1 sets x1=0, round 2 sets x2=1; x3 and x4 are left to the residual game
+        f = instance(
+            "e1 e2 e3 e4 a5",
+            [clause(-1), clause(1, 2), clause(2, 3, 5)],
+            [clause(-2, -3, 4), clause(3, -4)],
+        )
+        assert solve_posneg(f) == (True, SolveStats(branch_nodes=2, leaves=4, max_depth=2, initial_k=3))
+
+    def test_units_of_one_round_falsify_the_cover(self):
+        # x2=1 and x3=1 arrive together in round 2 and empty (-2 -3)
+        f = instance("e1 e2 e3", [clause(-1), clause(1, 2), clause(1, 3)], [clause(-2, -3)])
+        assert solve_posneg(f) == (False, SolveStats(leaves=1, initial_k=2))
+
+    def test_universal_unit_of_round_two_is_false(self):
+        # round 1 sets x1=0 and x3=1; round 2 holds the universal unit (2)
+        # and the emptied cover clause
+        f = instance("e1 a2 e3", [clause(-1), clause(1, 2), clause(3)], [clause(-3, 1)])
+        assert solve_posneg(f) == (False, SolveStats(leaves=1, initial_k=2))
+
+    def test_mirror_engine_gives_the_same_stats(self):
+        rng = random.Random(44)
+        for _ in range(1500):
+            f = random_sign_instance(rng)
+            assert solve_dual_posneg(dualize(f)) == solve_posneg(f), f
 
     def test_class_gate(self):
         with pytest.raises(ClassError):
@@ -146,11 +172,6 @@ class TestDispatch:
         v = dispatch(f)
         assert v.algorithm == "brute"
         assert v.value is True
-
-    def test_cap_off_raises(self):
-        f = instance("e1 e2 e3", [], [clause(1, -2, 3), clause(-1, 2, -3)])
-        with pytest.raises(CapError, match="fallback is disabled"):
-            dispatch(f, fallback=False)
 
     def test_over_cap_warns_and_runs_the_covered_engine(self):
         f = instance("e1 e2 e3", [], [clause(1, -2, 3), clause(-1, 2, -3)])
