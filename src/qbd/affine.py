@@ -4,7 +4,9 @@ An AffSystem is an ordered, deduplicated list of parity equations under a
 prefix. Pivoting an equation into the others preserves the solution set;
 eliminating an equation whose innermost variable is existential preserves
 the game value, because that variable can always be chosen to settle its
-equation last. Those two moves give both the truth test and the kernel.
+equation last. Those two moves give the kernel, and the kernel is also the
+truth test: an equation whose innermost variable is universal, or a
+contradictory row, makes the game false, and kernelize stops on either.
 
 The kernel, taken against a set X of covered variables, rewrites the
 system (truth-preservingly, never touching the covered clauses) until
@@ -102,9 +104,9 @@ def _combine(eq: AffineEquation, base: AffineEquation) -> AffineEquation:
 
 
 def _pivot(rows, x: int, i: int) -> list:
-    """The row operation behind pivot, elim, eval_qaff and kernelize, on
-    rows an AffSystem has already checked: add row i into every other row
-    holding x, then drop trivial and duplicate rows."""
+    """The row operation behind pivot, elim and kernelize, on rows an
+    AffSystem has already checked: add row i into every other row holding
+    x, then drop trivial and duplicate rows."""
     base = rows[i]
     return _dedupe(
         _combine(eq, base) if j != i and x in eq.vars else eq
@@ -150,25 +152,6 @@ def elim(system: AffSystem, x: int, i: int) -> AffSystem:
     return AffSystem(system.prefix, tuple(_eliminate(system.rows, x, i)))
 
 
-def eval_qaff(system: AffSystem) -> bool:
-    """Truth of the quantified parity game.
-
-    False exactly when elimination runs into a contradictory row or an
-    equation whose innermost variable is universal; true once every
-    equation is eliminated.
-    """
-    prefix = system.prefix
-    rows = system.rows
-    while rows:
-        if any(eq.is_contradiction for eq in rows):
-            return False
-        x = prefix.innermost_of(rows[0].vars)
-        if prefix.is_universal(x):
-            return False
-        rows = _eliminate(rows, x, 0)
-    return True
-
-
 @dataclass(frozen=True)
 class KernelResult:
     """Kernel of a covered parity game: the prefix restricted to the
@@ -183,9 +166,9 @@ class KernelResult:
 def kernelize(system: AffSystem, cover) -> KernelResult:
     """Reduce the system against covered variables X = `cover`.
 
-    Precondition: the parity game alone is true (run eval_qaff first);
-    a contradictory row or a universal innermost found en route raises
-    PreconditionError.
+    Raises PreconditionError exactly when the parity game alone is false:
+    elimination meets a contradictory row or an equation whose innermost
+    variable is universal. On a true game every move keeps the value.
     """
     prefix = system.prefix
     X = frozenset(cover)
@@ -196,33 +179,29 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
 
     def barf_on_bottom():
         if any(eq.is_contradiction for eq in rows):
-            raise PreconditionError("the parity rows are contradictory; evaluate first")
+            raise PreconditionError("the parity rows are contradictory; the parity game is false")
 
     # make every innermost variable covered, existential, and unshared
     while True:
         barf_on_bottom()
-        acted = False
         for i, eq in enumerate(rows):
             v = prefix.innermost_of(eq.vars)
+            if prefix.is_universal(v):
+                raise PreconditionError(
+                    f"universal variable {v} is innermost in an equation; the parity game is false"
+                )
             if v not in X:
-                if prefix.is_universal(v):
-                    raise PreconditionError(
-                        f"universal variable {v} is innermost in an equation; the parity game is false"
-                    )
                 rows = _eliminate(rows, v, i)
-                acted = True
                 break
-        if acted:
-            continue
-        holders = {}
-        for i, eq in enumerate(rows):
-            holders.setdefault(prefix.innermost_of(eq.vars), []).append(i)
-        shared = [(v, idxs) for v, idxs in holders.items() if len(idxs) > 1]
-        if shared:
+        else:
+            holders = {}
+            for i, eq in enumerate(rows):
+                holders.setdefault(prefix.innermost_of(eq.vars), []).append(i)
+            shared = [(v, idxs) for v, idxs in holders.items() if len(idxs) > 1]
+            if not shared:
+                break
             v, idxs = shared[0]
             rows = _pivot(rows, v, idxs[0])
-            continue
-        break
 
     # shrink every equation to at most one uncovered variable
     while True:
@@ -284,17 +263,27 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
     return KernelResult(reduced_prefix, AffSystem(reduced_prefix, tuple(rows)), forced)
 
 
+def eval_qaff(system: AffSystem) -> bool:
+    """Truth of the quantified parity game: kernelize against no covered
+    variables, which eliminates every equation of a true game."""
+    try:
+        kernelize(system, ())
+    except PreconditionError:
+        return False
+    return True
+
+
 def solve_aff(formula: QbfFormula):
     """Decide a formula whose tractable part is affine; returns
     (value, SolveStats). Branches only on covered variables that no
     kernel equation forces, so at most 2^k leaves."""
     cover = verify_partition(formula, BaseClass("aff"))
     stats = SolveStats(initial_k=len(cover))
-    system = AffSystem.from_formula(formula)
-    if not eval_qaff(system):
+    try:
+        kr = kernelize(AffSystem.from_formula(formula), cover)
+    except PreconditionError:
         stats.leaves = 1
         return False, stats
-    kr = kernelize(system, cover)
     order = kr.reduced_prefix.entries
     forced_by = dict(kr.forced)
     clauses = formula.matrix.backdoor

@@ -30,6 +30,9 @@ _DUAL = {
     "dual-posneg": "posneg",
 }
 
+# The sign-flipped classes, each tested by the rule of its mirror.
+_MIRROR = {"dualhorn": "horn", "ihsb+": "ihsb-", "dual-posneg": "posneg"}
+
 # Classes with a dedicated engine behind them; ranking for dispatch sticks
 # to these.
 SOLVABLE = ("2cnf", "aff", "posneg", "dual-posneg")
@@ -85,29 +88,22 @@ class BaseClass:
         w = len(atom)
         if self.kind == "2cnf":
             return w <= 2
-        npos = sum(1 for l in atom if l > 0)
-        nneg = w - npos
-        bound = self.width
         if self.kind == "aff":
             # units and the empty clause are expressible as equations
             return w <= 1
-        if self.kind == "horn":
-            return npos <= 1 and (bound is None or w <= bound)
-        if self.kind == "dualhorn":
-            return nneg <= 1 and (bound is None or w <= bound)
-        if self.kind == "ihsb-":
-            if npos == 0:
-                return bound is None or w <= bound
-            return (w == 1 and npos == 1) or (w == 2 and npos == 1 and nneg == 1)
-        if self.kind == "ihsb+":
-            if nneg == 0:
-                return bound is None or w <= bound
-            return (w == 1 and nneg == 1) or (w == 2 and npos == 1 and nneg == 1)
-        if self.kind == "posneg":
-            return nneg == 0 or (w == 1 and npos == 0)
-        if self.kind == "dual-posneg":
-            return npos == 0 or (w == 1 and nneg == 0)
-        raise UnknownTag(self.kind)
+        npos = sum(1 for l in atom if l > 0)
+        nneg = w - npos
+        kind = self.kind
+        if kind in _MIRROR:
+            # a mirrored class holds its mirror's atoms with the signs flipped
+            kind = _MIRROR[kind]
+            npos, nneg = nneg, npos
+        fits = self.width is None or w <= self.width
+        if kind == "horn":
+            return npos <= 1 and fits
+        if kind == "ihsb-":
+            return fits if npos == 0 else npos == 1 and w <= 2
+        return nneg == 0 or w == 1  # posneg
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 
-from .affine import AffSystem, eval_qaff, kernelize
+from .affine import AffSystem, kernelize
 from .algebra import classify
 from .backdoor import SOLVABLE, BaseClass, detect_cc_backdoor
-from .errors import CapError, ParamError, ParseError, QbdError
+from .errors import CapError, ParamError, ParseError, PreconditionError, QbdError
 from .formula import Matrix, QbfFormula
 from .oracle import extract_strategy
 from .qdimacs import parse_qdimacs, parse_relations, write_qdimacs
@@ -127,11 +127,11 @@ def cmd_detect(args) -> int:
 
 def cmd_kernelize(args) -> int:
     formula = _load_formula(args.file, "aff")
-    system = AffSystem.from_formula(formula)
-    if not eval_qaff(system):
+    try:
+        kr = kernelize(AffSystem.from_formula(formula), formula.matrix.backdoor_variables())
+    except PreconditionError:
         print("qbd: the parity part alone is false; there is no kernel", file=sys.stderr)
         return EXIT_FALSE
-    kr = kernelize(system, formula.matrix.backdoor_variables())
     reduced = QbfFormula(
         kr.reduced_prefix,
         Matrix(tuple(kr.reduced_system.rows), formula.matrix.backdoor),

@@ -24,17 +24,13 @@ class ClassError(QbdError):
 class ParseError(QbdError):
     """Malformed input text.
 
-    Carries optional line/column so CLI diagnostics can point at the token.
+    Carries an optional line so CLI diagnostics can point at it.
     """
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
         if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", column {column}"
-            message = f"{where}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 

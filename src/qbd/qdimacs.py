@@ -42,13 +42,12 @@ def _body(tokens, lineno):
     return lits
 
 
-def parse_qdimacs(text: str, base_class=None) -> QbfFormula:
+def parse_qdimacs(text: str) -> QbfFormula:
     """Parse dialect text into a formula.
 
-    A ``base_class`` argument overrides any ``c class`` comment. Matrix
-    variables missing from the prefix are appended to it, innermost and
-    existential, with a warning; a wrong clause count in the header only
-    warns as well.
+    Matrix variables missing from the prefix are appended to it, innermost
+    and existential, with a warning; a wrong clause count in the header
+    only warns as well.
     """
     nvars = None
     nclauses = None
@@ -134,10 +133,7 @@ def parse_qdimacs(text: str, base_class=None) -> QbfFormula:
             stacklevel=2,
         )
         entries.extend((v, EXISTS) for v in free)
-    bc = base_class if base_class is not None else declared
-    if isinstance(bc, str):
-        bc = BaseClass.parse(bc)
-    return QbfFormula(prefix=Prefix(tuple(entries)), matrix=matrix, base_class=bc)
+    return QbfFormula(prefix=Prefix(tuple(entries)), matrix=matrix, base_class=declared)
 
 
 def _clause_line(c) -> str:

@@ -202,6 +202,8 @@ class TestKernelize:
             kernelize(system("e1", eq(1)), {1})
         with pytest.raises(PreconditionError, match="universal"):
             kernelize(system("e1 a2", eq(0, 1, 2)), {1})
+        with pytest.raises(PreconditionError, match="universal"):
+            kernelize(system("e1 a2", eq(0, 1, 2)), {1, 2})
         with pytest.raises(DomainError):
             kernelize(system("e1", eq(1, 1)), {9})
 
@@ -210,10 +212,13 @@ class TestKernelize:
         checked = 0
         while checked < 400:
             s = random_system(rng, max_n=8, max_rows=6)
-            if not eval_qaff(s):
-                continue
             vs = sorted(s.prefix.variables())
             X = frozenset(rng.sample(vs, min(len(vs), rng.randint(0, 6))))
+            if not eval_qaff(s):
+                # a false game raises whatever the cover
+                with pytest.raises(PreconditionError):
+                    kernelize(s, X)
+                continue
             kr = kernelize(s, X)
             kernel_invariants(kr, X)
             back = []

@@ -58,11 +58,6 @@ def test_backdoor_marker_splits_the_matrix():
     assert f.matrix.backdoor == (clause(-1, -2),)
 
 
-def test_base_class_argument_overrides_comment():
-    f = parse_qdimacs(RUNNING_EXAMPLE_TEXT, base_class="horn")
-    assert f.base_class == BaseClass("horn")
-
-
 def test_free_variables_warn_and_join_innermost():
     with pytest.warns(UserWarning, match="unquantified"):
         f = parse_qdimacs("p cnf 2 1\ne 1 0\n1 2 0\n")
