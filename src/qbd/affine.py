@@ -8,6 +8,11 @@ equation last. Those two moves give the kernel, and the kernel is also the
 truth test: an equation whose innermost variable is universal, or a
 contradictory row, makes the game false, and kernelize stops on either.
 
+The row work runs on packed rows, as in dense GF(2) elimination: a row is
+(mask, rhs) with bit p for prefix position p, so the innermost variable is
+the top bit and adding rows is an XOR. AffSystem, pivot, elim and
+KernelResult keep AffineEquation rows; conversion happens at that boundary.
+
 The kernel, taken against a set X of covered variables, rewrites the
 system (truth-preservingly, never touching the covered clauses) until
 
@@ -37,21 +42,6 @@ from .errors import (
 from .formula import EXISTS, AffineEquation, Prefix, QbfFormula
 
 
-def _dedupe(rows) -> list:
-    """Drop trivial rows and keep the first of each set of equal rows."""
-    out = []
-    seen = set()
-    for eq in rows:
-        if eq.is_trivial:
-            continue
-        key = (eq.vars, eq.rhs)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(eq)
-    return out
-
-
 def _normalize(prefix: Prefix, rows) -> tuple:
     rows = tuple(rows)
     for eq in rows:
@@ -60,7 +50,10 @@ def _normalize(prefix: Prefix, rows) -> tuple:
         for v in eq.vars:
             if v not in prefix:
                 raise DomainError(f"variable {v} not quantified")
-    return tuple(_dedupe(rows))
+    first = {}
+    for eq in rows:
+        first.setdefault((eq.vars, eq.rhs), eq)
+    return tuple(eq for eq in first.values() if not eq.is_trivial)
 
 
 @dataclass(frozen=True)
@@ -99,33 +92,49 @@ class AffSystem:
         return frozenset(out)
 
 
-def _combine(eq: AffineEquation, base: AffineEquation) -> AffineEquation:
-    return AffineEquation(eq.vars ^ base.vars, eq.rhs ^ base.rhs)
+def _pack(prefix: Prefix, rows) -> list:
+    return [(sum(1 << prefix.position(v) for v in eq.vars), eq.rhs) for eq in rows]
 
 
-def _pivot(rows, x: int, i: int) -> list:
-    """The row operation behind pivot, elim and kernelize, on rows an
-    AffSystem has already checked: add row i into every other row holding
-    x, then drop trivial and duplicate rows."""
+def _unpack(prefix: Prefix, rows):
+    for m, r in rows:
+        vs = []
+        while m:
+            vs.append(prefix.entries[(m & -m).bit_length() - 1][0])
+            m &= m - 1
+        yield AffineEquation(frozenset(vs), r)
+
+
+def _pivot(rows: list, p: int, i: int):
+    """The row operation behind pivot, elim and kernelize, on packed rows an
+    AffSystem has checked: XOR row i, in place, into each other row holding
+    bit p. Rows arrive deduplicated, so trivial and duplicate rows (the first
+    kept) go only when a row changed. Returns the first changed index or None."""
+    bm, br = rows[i]
+    bit = 1 << p
+    hit = [j for j, (m, _) in enumerate(rows) if m & bit and j != i]
+    for j in hit:
+        rows[j] = (rows[j][0] ^ bm, rows[j][1] ^ br)
+    if hit:
+        rows[:] = [row for row in dict.fromkeys(rows) if row != (0, 0)]
+        return hit[0]
+    return None
+
+
+def _eliminate(rows: list, p: int, i: int):
+    """Pivot bit p at row i, then drop row i; returns what _pivot returns."""
     base = rows[i]
-    return _dedupe(
-        _combine(eq, base) if j != i and x in eq.vars else eq
-        for j, eq in enumerate(rows)
-    )
+    first = _pivot(rows, p, i)
+    del rows[i if first is None else rows.index(base)]  # a dedupe may have moved it
+    return first
 
 
-def _eliminate(rows, x: int, i: int) -> list:
-    """Pivot x at row i, then drop row i, the one row still holding x."""
-    return [eq for eq in _pivot(rows, x, i) if x not in eq.vars]
-
-
-def _checked_row(system: AffSystem, x: int, i: int) -> AffineEquation:
+def _checked_rows(system: AffSystem, x: int, i: int):
     if not 0 <= i < len(system.rows):
         raise IndexError(f"equation index {i} out of range")
-    base = system.rows[i]
-    if x not in base.vars:
+    if x not in system.rows[i].vars:
         raise MissingVarError(f"variable {x} not in equation {i}")
-    return base
+    return _pack(system.prefix, system.rows), system.prefix.position(x)
 
 
 def pivot(system: AffSystem, x: int, i: int) -> AffSystem:
@@ -133,8 +142,9 @@ def pivot(system: AffSystem, x: int, i: int) -> AffSystem:
 
     Afterwards x occurs in equation i only; the solution set is unchanged.
     """
-    _checked_row(system, x, i)
-    return AffSystem(system.prefix, tuple(_pivot(system.rows, x, i)))
+    rows, p = _checked_rows(system, x, i)
+    _pivot(rows, p, i)
+    return AffSystem(system.prefix, tuple(_unpack(system.prefix, rows)))
 
 
 def elim(system: AffSystem, x: int, i: int) -> AffSystem:
@@ -144,12 +154,13 @@ def elim(system: AffSystem, x: int, i: int) -> AffSystem:
     the player owning x can settle that equation after every other
     variable it mentions is fixed.
     """
-    base = _checked_row(system, x, i)
-    if system.prefix.innermost_of(base.vars) != x:
+    rows, p = _checked_rows(system, x, i)
+    if rows[i][0].bit_length() - 1 != p:
         raise InnermostError(f"variable {x} is not innermost in equation {i}")
     if not system.prefix.is_existential(x):
         raise QuantifierError(f"variable {x} is universal; only existential variables eliminate")
-    return AffSystem(system.prefix, tuple(_eliminate(system.rows, x, i)))
+    _eliminate(rows, p, i)
+    return AffSystem(system.prefix, tuple(_unpack(system.prefix, rows)))
 
 
 @dataclass(frozen=True)
@@ -175,92 +186,81 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
     for v in X:
         if v not in prefix:
             raise DomainError(f"covered variable {v} not quantified")
-    rows = list(system.rows)
+    entries = prefix.entries
+    covered = sum(1 << prefix.position(v) for v in X)
+    rows = _pack(prefix, system.rows)
 
     def barf_on_bottom():
-        if any(eq.is_contradiction for eq in rows):
+        if (0, 1) in rows:
             raise PreconditionError("the parity rows are contradictory; the parity game is false")
 
     # make every innermost variable covered, existential, and unshared
+    barf_on_bottom()
+    i = 0  # rows before i have a covered, existential innermost variable
     while True:
-        barf_on_bottom()
-        for i, eq in enumerate(rows):
-            v = prefix.innermost_of(eq.vars)
-            if prefix.is_universal(v):
+        while i < len(rows):
+            p = rows[i][0].bit_length() - 1
+            if entries[p][1] != EXISTS:
                 raise PreconditionError(
-                    f"universal variable {v} is innermost in an equation; the parity game is false"
+                    f"universal variable {entries[p][0]} is innermost in an equation; the parity game is false"
                 )
-            if v not in X:
-                rows = _eliminate(rows, v, i)
-                break
-        else:
-            holders = {}
-            for i, eq in enumerate(rows):
-                holders.setdefault(prefix.innermost_of(eq.vars), []).append(i)
-            shared = [(v, idxs) for v, idxs in holders.items() if len(idxs) > 1]
-            if not shared:
-                break
-            v, idxs = shared[0]
-            rows = _pivot(rows, v, idxs[0])
+            if covered >> p & 1:
+                i += 1
+                continue
+            first = _eliminate(rows, p, i)
+            if first is not None:
+                barf_on_bottom()
+                i = min(i, first)
+        holders = {}
+        for j, (m, _) in enumerate(rows):
+            holders.setdefault(m.bit_length() - 1, []).append(j)
+        shared = [(p, js[0]) for p, js in holders.items() if len(js) > 1]
+        if not shared:
+            break
+        i = _pivot(rows, *shared[0])
+        barf_on_bottom()
 
     # shrink every equation to at most one uncovered variable
     while True:
-        barf_on_bottom()
-        occ = {}
-        for eq in rows:
-            for v in eq.vars:
-                if v not in X:
-                    occ[v] = occ.get(v, 0) + 1
-        deleted = False
-        for i, eq in enumerate(rows):
-            outside = [v for v in eq.vars if v not in X]
-            if len(outside) < 2:
-                continue
-            w = max(outside, key=prefix.position)
-            if occ[w] == 1:
-                rows[i] = AffineEquation(
-                    eq.vars - {u for u in outside if u != w}, eq.rhs
-                )
-                deleted = True
-        if deleted:
+        outside = [m & ~covered for m, _ in rows]
+        deep = [u.bit_length() - 1 for u in outside]
+        once = twice = 0
+        for u in outside:
+            twice |= once & u
+            once |= u
+        wide = [j for j, u in enumerate(outside) if u.bit_count() > 1]
+        lone = [j for j in wide if not twice >> deep[j] & 1]
+        for j in lone:  # deep[j] is in row j alone, so the row stays unique
+            rows[j] = (rows[j][0] & covered | 1 << deep[j], rows[j][1])
+        if lone:
             continue
-        conflicted = []
-        for eq in rows:
-            outside = [v for v in eq.vars if v not in X]
-            if len(outside) >= 2:
-                conflicted.append(max(outside, key=prefix.position))
-        if not conflicted:
+        if not wide:
             break
-        w_star = max(conflicted, key=prefix.position)
-        carriers = [i for i, eq in enumerate(rows) if w_star in eq.vars]
-        for i in carriers:
-            outside = [v for v in rows[i].vars if v not in X]
-            if max(outside, key=prefix.position) != w_star:
-                raise InternalError("a deeper uncovered variable hides behind the pivot")
-        host = min(carriers, key=lambda i: prefix.position(prefix.innermost_of(rows[i].vars)))
-        rows = _pivot(rows, w_star, host)
+        w = max(deep[j] for j in wide)
+        carriers = [j for j, (m, _) in enumerate(rows) if m >> w & 1]
+        if any(deep[j] != w for j in carriers):
+            raise InternalError("a deeper uncovered variable hides behind the pivot")
+        _pivot(rows, w, min(carriers, key=lambda j: rows[j][0].bit_length()))
+        barf_on_bottom()
 
-    inner = []
-    for eq in rows:
-        v = prefix.innermost_of(eq.vars)
-        if v not in X or not prefix.is_existential(v):
-            raise InternalError(f"kernel equation keeps a bad innermost variable {v}")
-        inner.append(v)
-        outside = [u for u in eq.vars if u not in X]
-        if len(outside) > 1:
+    for m, _ in rows:
+        p = m.bit_length() - 1
+        if not covered >> p & 1 or entries[p][1] != EXISTS:
+            raise InternalError(f"kernel equation keeps a bad innermost variable {entries[p][0]}")
+        if (m & ~covered).bit_count() > 1:
             raise InternalError("kernel equation keeps two uncovered variables")
-    if len(set(inner)) != len(inner):
+    if len({m.bit_length() for m, _ in rows}) != len(rows):
         raise InternalError("kernel equations share an innermost variable")
     if len(rows) > len(X):
         raise InternalError("kernel keeps more equations than covered variables")
-    kept = X | frozenset().union(*(eq.vars for eq in rows)) if rows else X
-    if len(kept) > 2 * len(X):
+    eqs = tuple(_unpack(prefix, rows))
+    reduced_prefix = prefix.restrict(X.union(*(eq.vars for eq in eqs)))
+    if len(reduced_prefix) > 2 * len(X):
         raise InternalError("kernel keeps too many variables")
-    reduced_prefix = prefix.restrict(kept)
     forced = tuple(
-        sorted(((prefix.innermost_of(eq.vars), eq) for eq in rows), key=lambda t: prefix.position(t[0]))
+        sorted(((prefix.innermost_of(eq.vars), eq) for eq in eqs), key=lambda t: prefix.position(t[0]))
     )
-    return KernelResult(reduced_prefix, AffSystem(reduced_prefix, tuple(rows)), forced)
+    return KernelResult(reduced_prefix, AffSystem(reduced_prefix, eqs), forced)
 
 
 def eval_qaff(system: AffSystem) -> bool:

@@ -13,6 +13,9 @@ environment knob is QBD_BRUTE_CAP (variable budget for the brute-force
 fallback, default oracle.BRUTE_CAP); `solve` and `bench` read it through
 special.resolve_brute_cap. The same cap bounds the truth table behind
 `solve --emit-strategy`.
+
+`classify`, `generate`, `transform` and `bench` import qbd.algebra and
+qbd.reductions when they run, so that `solve` does not load them.
 """
 
 from __future__ import annotations
@@ -25,21 +28,11 @@ import warnings
 from dataclasses import asdict, dataclass
 
 from .affine import AffSystem, kernelize
-from .algebra import classify
 from .backdoor import SOLVABLE, BaseClass, detect_cc_backdoor
 from .errors import CapError, ParamError, ParseError, PreconditionError, QbdError
 from .formula import Matrix, QbfFormula
 from .oracle import extract_strategy
 from .qdimacs import parse_qdimacs, parse_relations, write_qdimacs
-from .reductions import (
-    GenParams,
-    dualize,
-    gen_random,
-    horn_to_3horn,
-    mis_to_horn,
-    mis_to_ihsb_minus,
-    parse_graph,
-)
 from .special import dispatch, resolve_brute_cap
 
 EXIT_TRUE = 10
@@ -142,6 +135,8 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .algebra import classify
+
     verdict = classify(parse_relations(_read(args.file)))
     line = verdict.outcome
     if verdict.d is not None:
@@ -153,6 +148,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .reductions import GenParams, gen_random, mis_to_horn, mis_to_ihsb_minus, parse_graph
+
     if args.kind == "random":
         params = GenParams(
             n=args.n,
@@ -172,6 +169,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .reductions import dualize, horn_to_3horn
+
     formula = _load_formula(args.file, args.klass)
     out = horn_to_3horn(formula) if args.to_3horn else dualize(formula)
     _emit(write_qdimacs(out), args.out)
@@ -229,6 +228,8 @@ def cmd_bench(args) -> int:
         return bench_verify(args.verify)
     if not args.suite or not args.out:
         raise ParamError("bench needs --suite and --out (or --verify)")
+    from .reductions import GenParams, gen_random
+
     tag, count, n, k, seed0 = _parse_suite(args.suite)
     brute_cap = resolve_brute_cap(args.brute_cap)
     jobs = []

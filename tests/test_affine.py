@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbd.affine import AffSystem, elim, eval_qaff, kernelize, pivot, solve_aff
 from qbd.errors import (
@@ -11,7 +12,7 @@ from qbd.errors import (
     PreconditionError,
     QuantifierError,
 )
-from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, clause
+from qbd.formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula, clause
 from helpers import naive_eval, random_prefix
 
 
@@ -191,6 +192,49 @@ class TestKernelize:
         assert kr.reduced_system.rows == (eq(1, 1, 2),)
         assert kr.forced == ((2, eq(1, 1, 2)),)
 
+    def test_an_elimination_that_turns_an_earlier_row_into_a_later_one(self):
+        # eliminating x3 turns row 0 into x1+x5=1, a copy of the last row;
+        # row 0 keeps its place and the later copy goes
+        s = system("e1 e2 e3 e4 e5 e6", eq(0, 2, 3, 5), eq(1, 1, 2, 3), eq(0, 4, 6), eq(1, 1, 5))
+        kr = kernelize(s, {5, 6})
+        assert kr.reduced_prefix.to_string() == "e1 e4 e5 e6"
+        assert kr.reduced_system.rows == (eq(1, 1, 5), eq(0, 4, 6))
+        assert kr.forced == ((5, eq(1, 1, 5)), (6, eq(0, 4, 6)))
+
+    def test_an_elimination_that_drops_an_earlier_row(self):
+        # eliminating x3 turns row 1 into a copy of row 0, so row 1 goes and
+        # x4+x6=0, whose innermost x6 is uncovered, moves up to row 1
+        s = system("e1 e2 e3 e4 e5 e6", eq(1, 1, 5), eq(0, 2, 3, 5), eq(1, 1, 2, 3), eq(0, 4, 6))
+        kr = kernelize(s, {4, 5})
+        assert kr.reduced_prefix.to_string() == "e1 e4 e5"
+        assert kr.reduced_system.rows == (eq(1, 1, 5),)
+        assert kr.forced == ((5, eq(1, 1, 5)),)
+
+    def test_eliminations_that_change_no_other_row(self):
+        # x3 and then x4 occur in their own rows only
+        s = system("e1 e2 e3 e4", eq(0, 1, 2), eq(1, 1, 3), eq(1, 2, 4))
+        kr = kernelize(s, {2})
+        assert kr.reduced_prefix.to_string() == "e1 e2"
+        assert kr.reduced_system.rows == (eq(0, 1, 2),)
+        assert kr.forced == ((2, eq(0, 1, 2)),)
+
+    def test_a_prefix_wider_than_a_machine_word(self):
+        # covered x1 and x200 sit at positions 0 and 199. Eliminating x160
+        # changes an earlier row and x199 a later one, x200 is then shared
+        # and pivoted, x3 goes, and the universal x2 is deleted last
+        prefix = "e1 a2 " + " ".join(f"e{v}" for v in range(3, 201))
+        s = system(
+            prefix,
+            eq(1, 2, 120, 160, 200),
+            eq(0, 120, 150, 160),
+            eq(1, 1, 150, 199),
+            eq(0, 3, 199, 200),
+        )
+        kr = kernelize(s, {1, 200})
+        assert kr.reduced_prefix.to_string() == "e1 e150 e200"
+        assert kr.reduced_system.rows == (eq(1, 150, 200),)
+        assert kr.forced == ((200, eq(1, 150, 200)),)
+
     def test_empty_inputs(self):
         kr = kernelize(system("e1 a2"), set())
         assert kr.reduced_prefix.entries == ()
@@ -274,3 +318,61 @@ class TestSolveAff:
         f = QbfFormula(Prefix.from_string("e1 e2"), Matrix((clause(1, 2),), ()))
         with pytest.raises(ClassError):
             solve_aff(f)
+
+
+@st.composite
+def aff_systems(draw):
+    """A system over a shuffled prefix of 2 <= n <= 8 variables, two in
+    three existential: one to seven rows of one to four variables, which
+    may repeat."""
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(1, n + 1)))
+    quants = draw(st.lists(st.sampled_from((EXISTS, EXISTS, FORALL)), min_size=n, max_size=n))
+    row = st.tuples(st.permutations(order), st.integers(1, min(4, n)), st.integers(0, 1))
+    rows = draw(st.lists(row, min_size=draw(st.integers(1, 7)), max_size=7))
+    return AffSystem(
+        Prefix(tuple(zip(order, quants))),
+        tuple(AffineEquation(frozenset(vs[:w]), rhs) for vs, w, rhs in rows),
+    )
+
+
+@st.composite
+def covered_games(draw):
+    """A system, a cover X and up to three clauses over X."""
+    s = draw(aff_systems())
+    X = draw(st.frozensets(st.sampled_from(s.prefix.variables())))
+    literal = st.sampled_from(sorted(X)).flatmap(lambda v: st.sampled_from((v, -v)))
+    back = draw(st.lists(st.frozensets(literal, min_size=1), max_size=3)) if X else []
+    return s, X, tuple(back)
+
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(aff_systems())
+    def test_eval_qaff_is_the_game_value(self, s):
+        assert eval_qaff(s) == naive_eval(as_formula(s))
+
+    @PROPERTY
+    @given(covered_games())
+    def test_kernelize_raises_exactly_on_false_games(self, game):
+        s, X, _ = game
+        if eval_qaff(s):
+            kernelize(s, X)
+        else:
+            with pytest.raises(PreconditionError):
+                kernelize(s, X)
+
+    @PROPERTY
+    @given(covered_games())
+    def test_kernel_keeps_its_bounds_and_the_game_value(self, game):
+        s, X, back = game
+        if not eval_qaff(s):
+            return
+        kr = kernelize(s, X)
+        kernel_invariants(kr, X)
+        before = naive_eval(QbfFormula(s.prefix, Matrix(s.rows, back)))
+        after = naive_eval(QbfFormula(kr.reduced_prefix, Matrix(kr.reduced_system.rows, back)))
+        assert before == after
