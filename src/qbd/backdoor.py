@@ -2,8 +2,10 @@
 
 A clause cover into a base class is a set of clauses whose removal leaves
 every remaining atom inside the class; the backdoor variables are the
-variables of the covered clauses. Detection is a single membership scan per
-class, so the cost lives in the engines, parameterized by the cover size.
+variables of the covered clauses. Detection is one membership scan for all
+candidate classes at once: each atom's shape is taken once, and one rule,
+_fits, places it. The cost lives in the engines, parameterized by the cover
+size.
 """
 
 from __future__ import annotations
@@ -13,25 +15,16 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ClassError, UnknownTag
-from .formula import AffineEquation, Matrix, QbfFormula, atom_vars, require_quantified
+from .formula import AffineEquation, Matrix, QbfFormula, require_quantified
 
 _KINDS = ("2cnf", "horn", "dualhorn", "aff", "ihsb-", "ihsb+", "posneg", "dual-posneg")
 _BOUNDED = ("horn", "dualhorn", "ihsb-", "ihsb+")
 _TAG_RE = re.compile(r"^(\d+)?(2cnf|horn|dualhorn|aff|ihsb[-+]|posneg|dual-posneg)$")
 
-_DUAL = {
-    "2cnf": "2cnf",
-    "aff": "aff",
-    "horn": "dualhorn",
-    "dualhorn": "horn",
-    "ihsb-": "ihsb+",
-    "ihsb+": "ihsb-",
-    "posneg": "dual-posneg",
-    "dual-posneg": "posneg",
-}
-
 # The sign-flipped classes, each tested by the rule of its mirror.
 _MIRROR = {"dualhorn": "horn", "ihsb+": "ihsb-", "dual-posneg": "posneg"}
+# A class's dual: mirrors pair up, 2cnf and aff are their own.
+_DUAL = {"2cnf": "2cnf", "aff": "aff", **_MIRROR, **{v: k for k, v in _MIRROR.items()}}
 
 # Classes with a dedicated engine behind them; ranking for dispatch sticks
 # to these.
@@ -83,27 +76,30 @@ class BaseClass:
 
     def contains(self, atom) -> bool:
         """Membership of a single atom. The empty clause is in every class."""
-        if isinstance(atom, AffineEquation):
-            return self.kind == "aff"
-        w = len(atom)
-        if self.kind == "2cnf":
-            return w <= 2
-        if self.kind == "aff":
-            # units and the empty clause are expressible as equations
-            return w <= 1
-        npos = sum(1 for l in atom if l > 0)
-        nneg = w - npos
-        kind = self.kind
-        if kind in _MIRROR:
-            # a mirrored class holds its mirror's atoms with the signs flipped
-            kind = _MIRROR[kind]
-            npos, nneg = nneg, npos
-        fits = self.width is None or w <= self.width
-        if kind == "horn":
-            return npos <= 1 and fits
-        if kind == "ihsb-":
-            return fits if npos == 0 else npos == 1 and w <= 2
-        return nneg == 0 or w == 1  # posneg
+        return _fits(self.kind, self.width, *_shape(atom))
+
+
+def _shape(atom) -> tuple:
+    """(width, positive literals) of a clause; (None, None) for an equation."""
+    return (None, None) if isinstance(atom, AffineEquation) else (len(atom), len([l for l in atom if l > 0]))
+
+
+def _fits(kind: str, width, w, npos) -> bool:
+    """The membership rule, on an atom's shape (see _shape)."""
+    if w is None:
+        return kind == "aff"
+    if kind == "2cnf":
+        return w <= 2
+    if kind == "aff":
+        return w <= 1  # units and the empty clause are expressible as equations
+    if kind in _MIRROR:  # the mirror's rule, with the signs flipped
+        kind, npos = _MIRROR[kind], w - npos
+    bounded = width is None or w <= width
+    if kind == "horn":
+        return npos <= 1 and bounded
+    if kind == "ihsb-":
+        return bounded if npos == 0 else npos == 1 and w <= 2
+    return npos == w or w == 1  # posneg
 
 
 @dataclass(frozen=True)
@@ -126,6 +122,46 @@ def _coerce(base_class) -> BaseClass:
     return BaseClass.parse(base_class)
 
 
+def _outside(atoms, classes) -> list:
+    """The one membership scan: per class, the indices of the atoms outside
+    it. A class drops out at its first outside equation, which ends its list."""
+    out = [[] for _ in classes]
+    live = list(zip(classes, out))
+    misfits = {}  # shape -> the lists of the live classes it falls outside
+    for i, atom in enumerate(atoms):
+        shape = _shape(atom)
+        lists = misfits.get(shape)
+        if lists is None:
+            lists = misfits[shape] = [o for bc, o in live if not _fits(bc.kind, bc.width, *shape)]
+        if lists:
+            for o in lists:
+                o.append(i)
+            if shape[0] is None:  # an equation: the classes it is outside have no cover
+                live = [(bc, o) for bc, o in live if bc.kind == "aff"]
+                misfits.clear()
+    return out
+
+
+def _covers(formula: QbfFormula, candidates, cut=False):
+    """Yield (class, indices of the atoms outside it, cover variables) for
+    each candidate that has a cover, in order. With `cut`, a union stops, and
+    its class is passed over, once it outgrows the smallest cover so far."""
+    classes = [_coerce(t) for t in candidates]
+    atoms = formula.matrix.atoms()
+    k = float("inf")
+    for bc, out in zip(classes, _outside(atoms, classes)):
+        if out and isinstance(atoms[out[-1]], AffineEquation):
+            continue  # an equation has no clause cover
+        vs = set()
+        for i in out:
+            vs.update(map(abs, atoms[i]))
+            if cut and len(vs) > k:
+                break
+        else:
+            k = min(k, len(vs))
+            yield bc, out, vs
+
+
 def detect_cc_backdoor(formula: QbfFormula, base_class) -> CcBackdoor:
     """Split the pooled atoms of `formula` by membership in `base_class`.
 
@@ -134,42 +170,27 @@ def detect_cc_backdoor(formula: QbfFormula, base_class) -> CcBackdoor:
     clauses; an out-of-class equation has no clause cover and raises
     ClassError.
     """
-    bc = _coerce(base_class)
-    inside = []
-    outside = []
-    for atom in formula.matrix.atoms():
-        (inside if bc.contains(atom) else outside).append(atom)
-    for atom in outside:
-        if isinstance(atom, AffineEquation):
-            raise ClassError(
-                f"equation over {sorted(atom.vars)} falls outside {bc.tag} and "
-                "cannot be covered; covers hold clauses only"
-            )
-    variables = frozenset().union(*(atom_vars(a) for a in outside)) if outside else frozenset()
-    repart = QbfFormula(
-        prefix=formula.prefix,
-        matrix=Matrix(tuple(inside), tuple(outside)),
-        base_class=bc,
-    )
-    return CcBackdoor(bc, variables, repart)
+    found = rank_classes(formula, [base_class])
+    if not found:
+        eq = next(a for a in formula.matrix.atoms() if isinstance(a, AffineEquation))
+        raise ClassError(f"equation over {sorted(eq.vars)} falls outside {_coerce(base_class).tag} "
+                         "and cannot be covered; covers hold clauses only")
+    return found[0]
 
 
 def rank_classes(formula: QbfFormula, candidates=None) -> list:
-    """Detect against every candidate class and sort by cover size.
+    """Detect against every candidate class in one scan; sort by cover size.
 
     Ties keep the candidate order. Classes that cannot cover the formula
     (equations outside a clausal class) are skipped.
     """
-    tags = DEFAULT_CANDIDATES if candidates is None else candidates
+    atoms = formula.matrix.atoms()
     found = []
-    for i, tag in enumerate(tags):
-        try:
-            bd = detect_cc_backdoor(formula, tag)
-        except ClassError:
-            continue
-        found.append((bd.k, i, bd))
-    found.sort(key=lambda t: (t[0], t[1]))
-    return [bd for _, _, bd in found]
+    for bc, out, vs in _covers(formula, DEFAULT_CANDIDATES if candidates is None else candidates):
+        skip = set(out)
+        matrix = Matrix(tuple(a for i, a in enumerate(atoms) if i not in skip), tuple(atoms[i] for i in out))
+        found.append(CcBackdoor(bc, frozenset(vs), QbfFormula(formula.prefix, matrix, bc)))
+    return sorted(found, key=lambda bd: bd.k)  # stable: ties keep the candidate order
 
 
 @dataclass
@@ -191,9 +212,9 @@ def verify_partition(formula: QbfFormula, base_class) -> frozenset:
     variables of the covered clauses.
     """
     bc = _coerce(base_class)
-    for i, atom in enumerate(formula.matrix.tractable):
-        if not bc.contains(atom):
-            raise ClassError(f"tractable atom #{i} is not in {bc.tag}: {_show(atom)}")
+    (out,) = _outside(formula.matrix.tractable, [bc])
+    if out:
+        raise ClassError(f"tractable atom #{out[0]} is not in {bc.tag}: {_show(formula.matrix.tractable[out[0]])}")
     for i, atom in enumerate(formula.matrix.backdoor):
         if isinstance(atom, AffineEquation):
             raise ClassError(f"covered atom #{i} is an equation; covers hold clauses only")

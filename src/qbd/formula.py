@@ -234,7 +234,11 @@ class QbfFormula:
 
 def require_quantified(formula: QbfFormula) -> None:
     """Raise DomainError when a matrix variable is missing from the prefix."""
-    unbound = formula.matrix.variables() - set(formula.prefix.variables())
+    pos = formula.prefix._pos
+    bound = {*pos, *(-v for v in pos)}  # every literal of a quantified variable
+    unbound = {v for a in formula.matrix.atoms()
+               if not bound.issuperset(a.vars if isinstance(a, AffineEquation) else a)
+               for v in atom_vars(a) if v not in pos}
     if unbound:
         raise DomainError(f"matrix variables {sorted(unbound)} not quantified")
 

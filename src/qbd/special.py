@@ -19,14 +19,7 @@ import os
 import warnings
 from dataclasses import dataclass
 
-from .backdoor import (
-    SOLVABLE,
-    BaseClass,
-    SolveStats,
-    detect_cc_backdoor,
-    rank_classes,
-    verify_partition,
-)
+from .backdoor import SOLVABLE, BaseClass, SolveStats, _covers, detect_cc_backdoor, verify_partition
 from .errors import CapError, ClassError
 from .formula import QbfFormula, apply_assignment
 from .oracle import BRUTE_CAP, eval_bruteforce
@@ -115,8 +108,9 @@ def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None) 
     """Decide the formula with the best available engine.
 
     `algorithm` forces one of the SOLVABLE engines or brute; a formula
-    declaring a different class is refused. Otherwise every solvable class
-    is tried and the smallest cover wins, the declared class breaking ties.
+    declaring a different class is refused. Otherwise one scan ranks the
+    solvable classes, the smallest cover wins (the declared class breaking
+    ties), and only the winner's partition is built.
     A cover as large as the variable count buys nothing: such formulas fall
     back to brute force under `brute_cap` (see resolve_brute_cap) and run
     the covered engine anyway, with a warning, above it.
@@ -137,9 +131,10 @@ def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None) 
         return Verdict(value, algorithm, stats)
     declared = formula.base_class.kind if formula.base_class is not None else None
     candidates = sorted(SOLVABLE, key=lambda tag: tag != declared)  # declared first
-    # aff covers every formula (equations are always inside it), so the
-    # ranking is never empty
-    best = rank_classes(formula, candidates)[0]
+    # the head of rank_classes(formula, candidates); aff covers every
+    # formula (equations are always inside it), so there is always one
+    head, _, _ = min(_covers(formula, candidates, cut=True), key=lambda c: len(c[2]))
+    best = detect_cc_backdoor(formula, head)
     if best.k >= n > 0:
         if n <= brute_cap:
             return _brute(formula, brute_cap)

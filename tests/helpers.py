@@ -7,6 +7,8 @@ sharing. Keep it slow and obvious.
 
 import random
 
+from qbd.backdoor import detect_cc_backdoor
+from qbd.errors import ClassError
 from qbd.formula import AffineEquation, EXISTS, FORALL, Matrix, Prefix, QbfFormula, clause
 from qbd.reductions import PartitionedGraph
 
@@ -33,6 +35,19 @@ def naive_eval(formula):
         return zero and play(i + 1, {**tau, v: 1})
 
     return play(0, {})
+
+
+def reference_ranking(formula, tags):
+    """rank_classes as one detection per candidate: ClassError skipped,
+    sorted by (k, index)."""
+    found = []
+    for i, tag in enumerate(tags):
+        try:
+            bd = detect_cc_backdoor(formula, tag)
+        except ClassError:
+            continue
+        found.append((bd.k, i, bd))
+    return [bd for _, _, bd in sorted(found, key=lambda t: t[:2])]
 
 
 def running_example():

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from qbd.backdoor import (
     BaseClass,
@@ -8,9 +11,10 @@ from qbd.backdoor import (
     rank_classes,
     verify_partition,
 )
-from qbd.errors import ClassError, UnknownTag
-from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, clause
-from helpers import running_example
+from qbd.errors import ClassError, DomainError, UnknownTag
+from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, clause, require_quantified
+from helpers import reference_ranking, running_example
+from strategies import PROPERTY, TAGS, candidates, formulas
 
 
 def bc(tag):
@@ -185,3 +189,58 @@ class TestVerifyPartition:
         )
         with pytest.raises(ClassError, match="equation"):
             verify_partition(f, "aff")
+
+
+def test_unquantified_variables_are_listed_sorted():
+    # unquantified 9 in a tractable clause, 4 in an equation, 6 in a covered clause
+    f = QbfFormula(
+        Prefix.from_string("e1 a2"),
+        Matrix((clause(-9), AffineEquation(frozenset({2, 4}), 0)), (clause(1, -6),)),
+    )
+    message = r"^matrix variables \[4, 6, 9\] not quantified$"
+    with pytest.raises(DomainError, match=message):
+        require_quantified(f)
+    with pytest.raises(DomainError, match=message):
+        verify_partition(f, "aff")
+
+
+class TestProperties:
+    @PROPERTY
+    @given(formulas(), candidates)
+    def test_rank_classes_is_one_detection_per_candidate(self, f, tags):
+        assert rank_classes(f, tags) == reference_ranking(f, tags)
+
+    @PROPERTY
+    @given(formulas())
+    def test_default_candidates(self, f):
+        assert rank_classes(f) == reference_ranking(f, DEFAULT_CANDIDATES)
+
+    @PROPERTY
+    @given(formulas(), st.sampled_from(TAGS))
+    def test_detection_splits_the_pooled_atoms_by_membership(self, f, tag):
+        bc = BaseClass.parse(tag)
+        atoms = f.matrix.atoms()
+        outside = tuple(a for a in atoms if not bc.contains(a))
+        equations = [a for a in outside if isinstance(a, AffineEquation)]
+        if equations:
+            message = f"equation over {sorted(equations[0].vars)} falls outside {bc.tag} and"
+            with pytest.raises(ClassError, match="^" + re.escape(message)):
+                detect_cc_backdoor(f, tag)
+            return
+        bd = detect_cc_backdoor(f, tag)
+        inside = tuple(a for a in atoms if bc.contains(a))
+        assert bd.formula == QbfFormula(f.prefix, Matrix(inside, outside), bc)
+        assert bd.variables == frozenset(abs(l) for c in outside for l in c)
+        assert verify_partition(bd.formula, bc) == bd.variables
+
+    @PROPERTY
+    @given(formulas(), st.sampled_from(TAGS))
+    def test_verify_partition_names_the_first_atom_outside_the_class(self, f, tag):
+        bc = BaseClass.parse(tag)
+        bad = [i for i, a in enumerate(f.matrix.tractable) if not bc.contains(a)]
+        if bad:
+            message = f"tractable atom #{bad[0]} is not in {bc.tag}: "
+            with pytest.raises(ClassError, match="^" + re.escape(message)):
+                verify_partition(f, bc)
+        else:
+            assert verify_partition(f, bc) == f.matrix.backdoor_variables()

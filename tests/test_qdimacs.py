@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from qbd.algebra import Relation
 from qbd.backdoor import BaseClass, detect_cc_backdoor
@@ -6,6 +7,7 @@ from qbd.errors import ParseError
 from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, canonical, clause
 from qbd.qdimacs import parse_qdimacs, parse_relations, write_qdimacs, write_relations
 from helpers import RUNNING_EXAMPLE_TEXT, running_example
+from strategies import PROPERTY, formulas
 
 
 def test_parse_running_example():
@@ -25,6 +27,13 @@ def test_round_trip_preserves_everything():
     f = detect_cc_backdoor(running_example(), "2cnf").formula
     again = parse_qdimacs(write_qdimacs(f))
     assert canonical(again) == canonical(f)
+
+
+@PROPERTY
+@given(formulas())
+def test_write_then_parse_is_the_identity_up_to_atom_order(f):
+    # equations, covered and empty clauses, a shuffled prefix, an optional declared class
+    assert canonical(parse_qdimacs(write_qdimacs(f))) == canonical(f)
 
 
 def test_equation_lines_round_trip():

@@ -1,14 +1,19 @@
 import random
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
+from qbd import special
 from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, rank_classes
 from qbd.errors import CapError, ClassError, DomainError
 from qbd.formula import Matrix, Prefix, QbfFormula, clause
 from qbd.reductions import GenParams, dualize, gen_random
 from qbd.special import _ENGINES, Verdict, dispatch, solve_dual_posneg, solve_posneg
-from helpers import naive_eval, random_prefix, running_example
+from helpers import naive_eval, random_prefix, reference_ranking, running_example
+from strategies import PROPERTY, formulas
 
 
 def instance(prefix, tractable, backdoor=(), base_class=None):
@@ -219,3 +224,50 @@ class TestDispatch:
         assert checked > 600
         # the declared class decided a tie in this many cases
         assert tie_broken > 40
+
+    @PROPERTY
+    @given(formulas(), st.sampled_from((0, 2, 24)))
+    def test_dispatches_through_the_head_of_the_reference_ranking(self, f, cap):
+        for g in (f, replace(f, base_class=None)):
+            declared = g.base_class.kind if g.base_class is not None else None
+            order = sorted(SOLVABLE, key=lambda tag: tag != declared)
+            head = reference_ranking(g, order)[0]
+            n = len(g.prefix)
+            expected_warnings = []
+            if head.k >= n > 0 and n <= cap:
+                expected = Verdict(naive_eval(g), "brute", SolveStats(0, 1 << n, n, n))
+            else:
+                if head.k >= n > 0:
+                    expected_warnings.append(
+                        f"no cover smaller than the {n} variables; "
+                        f"running {head.base_class.tag} with k={head.k} anyway"
+                    )
+                value, stats = _ENGINES[head.base_class.kind](head.formula)
+                expected = Verdict(value, head.base_class.tag, stats)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = dispatch(g, brute_cap=cap)
+            assert got == expected
+            assert [str(w.message) for w in caught] == expected_warnings
+            assert got.value == naive_eval(g)
+
+    @PROPERTY
+    @given(formulas(), st.sampled_from(SOLVABLE))
+    def test_one_detection_per_dispatch(self, f, forced):
+        real = special.detect_cc_backdoor
+        with mock.patch.object(special, "detect_cc_backdoor", side_effect=real) as counter, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the over-cap warning
+            for cap in (0, 24):  # the covered engine above the cap, brute force under it
+                counter.reset_mock()
+                dispatch(f, brute_cap=cap)
+                assert counter.call_count == 1
+            counter.reset_mock()
+            try:
+                dispatch(replace(f, base_class=None), algorithm=forced)
+            except ClassError:  # the forced class cannot cover an equation
+                pass
+            assert counter.call_count == 1
+            counter.reset_mock()
+            dispatch(f, algorithm="brute")
+            assert counter.call_count == 0
