@@ -10,8 +10,8 @@ contradictory row, makes the game false, and kernelize stops on either.
 
 The row work runs on packed rows, as in dense GF(2) elimination: a row is
 (mask, rhs) with bit p for prefix position p, so the innermost variable is
-the top bit and adding rows is an XOR. AffSystem, pivot, elim and
-KernelResult keep AffineEquation rows; conversion happens at that boundary.
+the top bit and adding rows is an XOR. An AffSystem packs its rows once,
+beside its AffineEquation rows; pivot, elim and kernelize start from those.
 
 The kernel, taken against a set X of covered variables, rewrites the
 system (truth-preservingly, never touching the covered clauses) until
@@ -27,7 +27,7 @@ forced, the rest are played.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .backdoor import BaseClass, SolveStats, verify_partition
 from .errors import (
@@ -42,31 +42,32 @@ from .errors import (
 from .formula import EXISTS, AffineEquation, Prefix, QbfFormula
 
 
-def _normalize(prefix: Prefix, rows) -> tuple:
-    rows = tuple(rows)
-    for eq in rows:
-        if not isinstance(eq, AffineEquation):
-            raise ClassError(f"affine systems hold equations, got {eq!r}")
-        for v in eq.vars:
-            if v not in prefix:
-                raise DomainError(f"variable {v} not quantified")
-    first = {}
-    for eq in rows:
-        first.setdefault((eq.vars, eq.rhs), eq)
-    return tuple(eq for eq in first.values() if not eq.is_trivial)
-
-
 @dataclass(frozen=True)
 class AffSystem:
     """Parity equations under a prefix. Trivial rows are dropped and
     duplicates collapse to their first occurrence; contradictory empty
-    rows are kept as markers."""
+    rows are kept as markers. One pass checks, packs and deduplicates the
+    rows; the packed rows are kept beside them."""
 
     prefix: Prefix
     rows: tuple
+    _packed: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _normalize(self.prefix, self.rows))
+        pos = self.prefix._pos
+        first = {}  # packed row -> its first equation
+        for eq in self.rows:
+            if not isinstance(eq, AffineEquation):
+                raise ClassError(f"affine systems hold equations, got {eq!r}")
+            mask = 0
+            for v in eq.vars:
+                if v not in pos:
+                    raise DomainError(f"variable {v} not quantified")
+                mask |= 1 << pos[v]
+            first.setdefault((mask, eq.rhs), eq)
+        first.pop((0, 0), None)  # the trivial row, as _pivot drops it
+        object.__setattr__(self, "rows", tuple(first.values()))
+        object.__setattr__(self, "_packed", tuple(first))
 
     @classmethod
     def from_formula(cls, formula: QbfFormula) -> "AffSystem":
@@ -76,24 +77,14 @@ class AffSystem:
         for atom in formula.matrix.tractable:
             if isinstance(atom, AffineEquation):
                 rows.append(atom)
-            elif len(atom) == 0:
-                rows.append(AffineEquation(frozenset(), 1))
-            elif len(atom) == 1:
-                (l,) = atom
-                rows.append(AffineEquation(frozenset((abs(l),)), 1 if l > 0 else 0))
+            elif len(atom) <= 1:  # a unit or the empty clause: its literals XOR to 1
+                rows.append(AffineEquation.from_literals(atom))
             else:
                 raise ClassError(f"clause of width {len(atom)} is not affine")
         return cls(formula.prefix, tuple(rows))
 
     def variables(self) -> frozenset:
-        out = set()
-        for eq in self.rows:
-            out |= eq.vars
-        return frozenset(out)
-
-
-def _pack(prefix: Prefix, rows) -> list:
-    return [(sum(1 << prefix.position(v) for v in eq.vars), eq.rhs) for eq in rows]
+        return frozenset().union(*(eq.vars for eq in self.rows))
 
 
 def _unpack(prefix: Prefix, rows):
@@ -106,9 +97,9 @@ def _unpack(prefix: Prefix, rows):
 
 
 def _pivot(rows: list, p: int, i: int):
-    """The row operation behind pivot, elim and kernelize, on packed rows an
-    AffSystem has checked: XOR row i, in place, into each other row holding
-    bit p. Rows arrive deduplicated, so trivial and duplicate rows (the first
+    """The row operation behind pivot, elim and kernelize, on a copy of an
+    AffSystem's packed rows: XOR row i, in place, into each other row holding
+    bit p. They start deduplicated, so trivial and duplicate rows (the first
     kept) go only when a row changed. Returns the first changed index or None."""
     bm, br = rows[i]
     bit = 1 << p
@@ -134,7 +125,7 @@ def _checked_rows(system: AffSystem, x: int, i: int):
         raise IndexError(f"equation index {i} out of range")
     if x not in system.rows[i].vars:
         raise MissingVarError(f"variable {x} not in equation {i}")
-    return _pack(system.prefix, system.rows), system.prefix.position(x)
+    return list(system._packed), system.prefix.position(x)
 
 
 def pivot(system: AffSystem, x: int, i: int) -> AffSystem:
@@ -188,7 +179,7 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
             raise DomainError(f"covered variable {v} not quantified")
     entries = prefix.entries
     covered = sum(1 << prefix.position(v) for v in X)
-    rows = _pack(prefix, system.rows)
+    rows = list(system._packed)
 
     def barf_on_bottom():
         if (0, 1) in rows:

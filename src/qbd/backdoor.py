@@ -124,36 +124,34 @@ def _coerce(base_class) -> BaseClass:
 
 def _outside(atoms, classes) -> list:
     """The one membership scan: per class, the indices of the atoms outside
-    it. A class drops out at its first outside equation, which ends its list."""
+    it. Each shape is placed once; later atoms of that shape reuse it."""
     out = [[] for _ in classes]
-    live = list(zip(classes, out))
-    misfits = {}  # shape -> the lists of the live classes it falls outside
+    misfits = {}  # shape -> the lists of the classes it falls outside
     for i, atom in enumerate(atoms):
         shape = _shape(atom)
         lists = misfits.get(shape)
         if lists is None:
-            lists = misfits[shape] = [o for bc, o in live if not _fits(bc.kind, bc.width, *shape)]
+            lists = misfits[shape] = [o for bc, o in zip(classes, out) if not _fits(bc.kind, bc.width, *shape)]
         if lists:
             for o in lists:
                 o.append(i)
-            if shape[0] is None:  # an equation: the classes it is outside have no cover
-                live = [(bc, o) for bc, o in live if bc.kind == "aff"]
-                misfits.clear()
     return out
 
 
 def _covers(formula: QbfFormula, candidates, cut=False):
     """Yield (class, indices of the atoms outside it, cover variables) for
-    each candidate that has a cover, in order. With `cut`, a union stops, and
-    its class is passed over, once it outgrows the smallest cover so far."""
+    each candidate that has a cover, in order. Covers hold clauses only, so
+    a class with an equation outside it (every class but aff, when the
+    matrix holds one) has none. With `cut`, a union stops, and its class is
+    passed over, once it outgrows the smallest cover so far."""
     classes = [_coerce(t) for t in candidates]
     atoms = formula.matrix.atoms()
     k = float("inf")
     for bc, out in zip(classes, _outside(atoms, classes)):
-        if out and isinstance(atoms[out[-1]], AffineEquation):
-            continue  # an equation has no clause cover
         vs = set()
         for i in out:
+            if isinstance(atoms[i], AffineEquation):
+                break
             vs.update(map(abs, atoms[i]))
             if cut and len(vs) > k:
                 break

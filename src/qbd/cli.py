@@ -248,22 +248,39 @@ def cmd_bench(args) -> int:
     return 0
 
 
+_BENCH_KEYS = ("instance", "algorithm", "value", "k", "leaves")
+
+
+def _bench_record(raw: str, lineno: int) -> dict:
+    """A bench log line, checked for what bench_verify reads."""
+    try:
+        rec = json.loads(raw)
+    except ValueError:
+        rec = None
+    if not isinstance(rec, dict) or not all(key in rec for key in _BENCH_KEYS):
+        raise ParseError("a bench record is a JSON object with " + ", ".join(_BENCH_KEYS), line=lineno)
+    counts = all(type(rec[key]) is int and rec[key] >= 0 for key in ("k", "leaves"))
+    if not (counts and isinstance(rec["instance"], str)):
+        raise ParseError("a bench record's instance is a string and its k and leaves are "
+                         "nonnegative integers", line=lineno)
+    return rec
+
+
 def bench_verify(path: str) -> int:
-    """Check a bench log for cross-algorithm agreement and leaf budgets."""
+    """Check a bench log for cross-algorithm agreement and leaf budgets; a
+    malformed line is a ParseError."""
     by_instance = {}
     over_budget = 0
     records = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            rec = json.loads(raw)
-            records += 1
-            by_instance.setdefault(rec["instance"], []).append(rec)
-            if rec["leaves"] > (1 << rec["k"]):
-                over_budget += 1
-                print(f"over-budget: {rec['instance']} ({rec['algorithm']})")
+    for lineno, raw in enumerate(_read(path).split("\n"), start=1):
+        if not raw.strip():
+            continue
+        rec = _bench_record(raw, lineno)
+        records += 1
+        by_instance.setdefault(rec["instance"], []).append(rec)
+        if rec["leaves"] > 1 << min(rec["k"], rec["leaves"].bit_length()):  # leaves > 2^k, for any k
+            over_budget += 1
+            print(f"over-budget: {rec['instance']} ({rec['algorithm']})")
     disagree = 0
     for iid, recs in by_instance.items():
         if len({bool(r["value"]) for r in recs}) > 1:

@@ -15,6 +15,7 @@ comma-separated 0/1 strings, ``#`` starting a comment.
 from __future__ import annotations
 
 import warnings
+from itertools import groupby
 
 from .backdoor import BaseClass
 from .errors import ParseError, TautologyError, UnknownTag
@@ -151,34 +152,25 @@ def _equation_line(eq: AffineEquation) -> str:
 
 
 def write_qdimacs(formula: QbfFormula) -> str:
-    """Serialize a formula in the dialect; parse_qdimacs inverts this."""
+    """Serialize a formula in the dialect; parse_qdimacs inverts this.
+    Trivial equations are left out, and the header counts the lines written."""
+    tractable = [
+        _equation_line(atom) if isinstance(atom, AffineEquation) else _clause_line(atom)
+        for atom in formula.matrix.tractable
+        if not (isinstance(atom, AffineEquation) and atom.is_trivial)
+    ]
     lines = []
     if formula.base_class is not None:
         lines.append(f"c class {formula.base_class.tag}")
     all_vars = set(formula.prefix.variables()) | set(formula.matrix.variables())
     nvars = max(all_vars, default=0)
-    lines.append(f"p cnf {nvars} {len(formula.matrix.atoms())}")
-    run_q = None
-    run = []
-    for v, q in formula.prefix:
-        if q != run_q and run:
-            lines.append(f"{run_q} " + " ".join(str(u) for u in run + [0]))
-            run = []
-        run_q = q
-        run.append(v)
-    if run:
-        lines.append(f"{run_q} " + " ".join(str(u) for u in run + [0]))
-    for atom in formula.matrix.tractable:
-        if isinstance(atom, AffineEquation):
-            if atom.is_trivial:
-                continue
-            lines.append(_equation_line(atom))
-        else:
-            lines.append(_clause_line(atom))
+    lines.append(f"p cnf {nvars} {len(tractable) + len(formula.matrix.backdoor)}")
+    for q, run in groupby(formula.prefix, key=lambda entry: entry[1]):
+        lines.append(f"{q} " + " ".join(str(v) for v, _ in run) + " 0")
+    lines += tractable
     if formula.matrix.backdoor:
         lines.append("c backdoor-begin")
-        for c in formula.matrix.backdoor:
-            lines.append(_clause_line(c))
+        lines.extend(_clause_line(c) for c in formula.matrix.backdoor)
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,10 +347,68 @@ def covered_games(draw):
     return s, X, tuple(back)
 
 
+@st.composite
+def row_lists(draw):
+    """A prefix of n <= 6 variables and up to eight rows: fresh equations,
+    repeats (the same object or an equal copy), trivial and contradictory
+    rows, rows with an unquantified variable, and non-equations."""
+    n = draw(st.integers(0, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    quants = draw(st.lists(st.sampled_from((EXISTS, FORALL)), min_size=n, max_size=n))
+    vs = st.lists(st.sampled_from(order), max_size=4) if n else st.just([])
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        pick = draw(st.integers(0, 15))
+        if rows and pick < 5:
+            old = draw(st.sampled_from(rows))
+            copy = pick % 2 and isinstance(old, AffineEquation)
+            rows.append(AffineEquation(frozenset(old.vars), old.rhs) if copy else old)
+        elif pick in (5, 6):
+            rows.append(AffineEquation(frozenset(), pick - 5))
+        elif pick == 7:
+            rows.append(AffineEquation(frozenset(draw(vs) + [n + 1]), draw(st.integers(0, 1))))
+        elif pick == 8:
+            rows.append(draw(st.sampled_from((clause(1), clause(), 1, None))))
+        else:
+            rows.append(AffineEquation(frozenset(draw(vs)), draw(st.integers(0, 1))))
+    return Prefix(tuple(zip(order, quants))), rows
+
+
+def reference_rows(prefix, rows):
+    """The rows an AffSystem keeps: the first bad row, in row order, raises;
+    trivial rows go; of rows with equal (vars, rhs) the first stays."""
+    for row in rows:
+        if not isinstance(row, AffineEquation):
+            raise ClassError(f"affine systems hold equations, got {row!r}")
+        for v in row.vars:
+            if v not in prefix:
+                raise DomainError(f"variable {v} not quantified")
+    kept = []
+    for row in rows:
+        if not row.is_trivial and all((k.vars, k.rhs) != (row.vars, row.rhs) for k in kept):
+            kept.append(row)
+    return kept
+
+
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
 
 class TestProperties:
+    @PROPERTY
+    @given(row_lists())
+    def test_construction_keeps_the_first_of_equal_rows_and_drops_trivial_ones(self, drawn):
+        prefix, rows = drawn
+        try:
+            expected = reference_rows(prefix, rows)
+        except (ClassError, DomainError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                AffSystem(prefix, tuple(rows))
+            return
+        s = AffSystem(prefix, tuple(rows))
+        assert len(s.rows) == len(expected)
+        assert all(got is want for got, want in zip(s.rows, expected))  # the first, as the same object
+        assert eq(1) in s.rows or eq(1) not in rows  # (∅, 1) rows stay
+
     @PROPERTY
     @given(aff_systems())
     def test_eval_qaff_is_the_game_value(self, s):

@@ -341,6 +341,30 @@ class TestBench:
         assert "over-budget: z (brute)" in out
         assert "disagree: z" in out
 
+    GOOD = {"instance": "z", "algorithm": "2cnf", "value": True, "k": 1, "leaves": 1}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "not json",
+            json.dumps({key: v for key, v in GOOD.items() if key != "leaves"}),
+            json.dumps({key: v for key, v in GOOD.items() if key != "k"}),
+            json.dumps({key: v for key, v in GOOD.items() if key != "instance"}),
+            json.dumps([GOOD]),
+            json.dumps(dict(GOOD, k=-1)),
+            json.dumps(dict(GOOD, k=1.5)),
+        ],
+        ids=["not-json", "no-leaves", "no-k", "no-instance", "not-an-object", "negative-k", "float-k"],
+    )
+    def test_verify_names_a_malformed_line(self, tmp_path, capsys, line):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(json.dumps(self.GOOD) + "\n" + line + "\n")
+        assert cli.run(["bench", "--verify", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qbd: line 2: a bench record")
+        assert captured.err.count("\n") == 1
+
     def test_verify_empty_log(self, tmp_path, capsys):
         log = tmp_path / "empty.jsonl"
         log.write_text("")

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import given
 
@@ -49,6 +51,17 @@ def test_equation_lines_round_trip():
     assert "x -2 3 0" in text  # parity 0 shows as one negated literal
     assert "x 0" in text
     assert canonical(parse_qdimacs(text)) == canonical(f)
+
+
+def test_trivial_equations_are_neither_written_nor_counted():
+    trivial, row, covered = AffineEquation(frozenset(), 0), AffineEquation(frozenset({1, 2}), 1), clause(1, -2)
+    f = QbfFormula(Prefix.from_string("e1 e2"), Matrix((trivial, row), (covered,)))
+    text = write_qdimacs(f)
+    assert "p cnf 2 2" in text.splitlines()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = parse_qdimacs(text)
+    assert again.matrix == Matrix((row,), (covered,))
 
 
 def test_xor_line_parsing_rules():

@@ -1,0 +1,270 @@
+"""Behaviour digests of qbd: one sha256 per section, to show that a change
+keeps every output.
+
+    python3 tools/digest.py SEED
+
+It imports qbd from src/ and the benchmark's instance generator from
+bench/gen.py of the checkout it sits in, and needs only the standard
+library. Two checkouts that print the same lines for a seed give the same
+results, and raise the same error types with the same messages, on every
+input below. The sections:
+
+  dispatch      auto dispatch (value, algorithm, SolveStats, warnings) on
+                every pool instance of the four benchmark workloads
+  rank_classes  rank_classes over the eight kinds and width-bounded tags
+                and over the defaults, and per tag detect_cc_backdoor and
+                verify_partition, on the pools and on random formulas
+  affsystem     AffSystem rows and kernelize (reduced prefix, rows,
+                forced), on the parity-kernel pool and on random systems
+                with covers; AffSystem.from_formula on random matrices
+  pivot_elim    pivot and elim rows on the random systems
+
+Each line reads `section sha256 items`. Random inputs are drawn from a
+random.Random seeded with the section name and SEED.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import gen  # noqa: E402  (bench/gen.py, standard library only)
+from qbd.affine import AffSystem, elim, kernelize, pivot  # noqa: E402
+from qbd.backdoor import BaseClass, detect_cc_backdoor, rank_classes, verify_partition  # noqa: E402
+from qbd.formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula  # noqa: E402
+from qbd.oracle import BRUTE_CAP  # noqa: E402
+from qbd.qdimacs import parse_qdimacs  # noqa: E402
+from qbd.special import dispatch  # noqa: E402
+
+RANDOM_DRAWS = 10_000
+TAGS = ("2cnf", "horn", "dualhorn", "aff", "ihsb-", "ihsb+", "posneg", "dual-posneg",
+        "2horn", "3horn", "4dualhorn", "2ihsb-", "3ihsb-", "4ihsb+", "5ihsb+")
+
+
+def atom(a):
+    if isinstance(a, AffineEquation):
+        return ("x", tuple(sorted(a.vars)), a.rhs)
+    if isinstance(a, frozenset):
+        return tuple(sorted(a))
+    return repr(a)
+
+
+def atoms(seq):
+    return tuple(atom(a) for a in seq)
+
+
+def formula(f):
+    tag = None if f.base_class is None else f.base_class.tag
+    return (f.prefix.entries, atoms(f.matrix.tractable), atoms(f.matrix.backdoor), tag)
+
+
+def backdoor(bd):
+    return (bd.base_class.tag, bd.k, tuple(sorted(bd.variables)), formula(bd.formula))
+
+
+def system_rows(s):
+    return atoms(s.rows)
+
+
+def kernel(kr):
+    forced = tuple((v, atom(eq)) for v, eq in kr.forced)
+    return (kr.reduced_prefix.entries, atoms(kr.reduced_system.rows), forced)
+
+
+def outcome(fn, *args, show=repr):
+    """show(fn(*args)) with the warnings it raised, or the error it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = show(fn(*args))
+        except Exception as exc:  # the digest records every error, by type and message
+            out = f"{type(exc).__name__}: {exc}"
+    return (out, tuple(str(w.message) for w in caught))
+
+
+class Section:
+    def __init__(self, name):
+        self.name = name
+        self.hash = hashlib.sha256()
+        self.items = 0
+
+    def add(self, item):
+        self.hash.update(repr(item).encode())
+        self.hash.update(b"\n")
+        self.items += 1
+
+    def line(self):
+        return f"{self.name} {self.hash.hexdigest()} {self.items}"
+
+
+def pools(seed):
+    """(family, index, parsed formula) over the four benchmark pools."""
+    for family, count in gen.POOL.items():
+        for i in range(count):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                yield family, i, parse_qdimacs(gen.instance(family, seed, i).text)
+
+
+def random_prefix(rng, n):
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    return Prefix(tuple((v, rng.choice((EXISTS, FORALL))) for v in order))
+
+
+def random_clause(rng, n):
+    vs = rng.sample(range(1, n + 1), rng.randint(0, min(5, n)))
+    return frozenset(v if rng.random() < 0.5 else -v for v in vs)
+
+
+def random_equation(rng, n):
+    """Mostly one to four variables; some trivial and contradictory rows."""
+    r = rng.random()
+    if r < 0.08 or n == 0:
+        return AffineEquation(frozenset(), int(r < 0.04))
+    vs = rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+    return AffineEquation(frozenset(vs), rng.randint(0, 1))
+
+
+def random_formula(rng):
+    """n <= 7 variables, clauses of width 0 to 5, equations, a covered part
+    that may hold an equation, now and then an unquantified variable, and
+    an optional declared class."""
+    n = rng.randint(0, 7)
+    m = n + (rng.random() < 0.1)  # matrix variables may exceed the prefix
+    tractable = [random_equation(rng, m) if rng.random() < 0.3 else random_clause(rng, m)
+                 for _ in range(rng.randint(0, 8))]
+    covered = [random_clause(rng, m) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.05:
+        covered.append(random_equation(rng, m))
+    declared = rng.choice((None,) + TAGS)
+    return QbfFormula(random_prefix(rng, n), Matrix(tuple(tractable), tuple(covered)),
+                      None if declared is None else BaseClass.parse(declared))
+
+
+def random_rows(rng, n):
+    """Up to eight rows with repeats (the same object or an equal copy),
+    trivial and contradictory rows, unquantified variables and, rarely, a
+    clause or another non-equation."""
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        r = rng.random()
+        if rows and r < 0.2:
+            old = rng.choice(rows)
+            rows.append(old if r < 0.1 or not isinstance(old, AffineEquation)
+                        else AffineEquation(frozenset(old.vars), old.rhs))
+        elif r < 0.22:
+            rows.append(random_clause(rng, n))
+        elif r < 0.23:
+            rows.append(n)
+        else:
+            rows.append(random_equation(rng, n + (rng.random() < 0.05)))
+    return rows
+
+
+def dispatch_section(seed, texts):
+    sec = Section("dispatch")
+    for family, i, f in texts:
+        sec.add((family, i, outcome(lambda: dispatch(f, brute_cap=BRUTE_CAP),
+                                    show=lambda v: (v.value, v.algorithm, repr(v.stats)))))
+    return sec
+
+
+def rank_one(sec, f):
+    sec.add(outcome(rank_classes, f, TAGS, show=lambda r: tuple(map(backdoor, r))))
+    sec.add(outcome(rank_classes, f, show=lambda r: tuple(map(backdoor, r))))
+    for tag in TAGS:
+        sec.add((tag, outcome(detect_cc_backdoor, f, tag, show=backdoor),
+                 outcome(verify_partition, f, tag, show=sorted)))
+
+
+def rank_section(seed, texts):
+    sec = Section("rank_classes")
+    for _, _, f in texts:
+        rank_one(sec, f)
+    rng = random.Random(f"rank_classes:{seed}")
+    for _ in range(RANDOM_DRAWS):
+        rank_one(sec, random_formula(rng))
+    return sec
+
+
+def systems(seed):
+    """Yield (rng, prefix, rows, the system or the error its construction
+    raised, a cover) RANDOM_DRAWS times; callers draw more from rng."""
+    rng = random.Random(f"affsystem:{seed}")
+    for _ in range(RANDOM_DRAWS):
+        n = rng.randint(0, 8)
+        prefix = random_prefix(rng, n)
+        rows = random_rows(rng, n)
+        cover = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        if rng.random() < 0.03:
+            cover.add(n + 1)
+        try:
+            s = AffSystem(prefix, tuple(rows))
+        except Exception as exc:  # recorded by type and message
+            s = exc
+        yield rng, prefix, rows, s, cover
+
+
+def affsystem_section(seed, texts):
+    sec = Section("affsystem")
+    for family, i, f in texts:
+        if family != "parity-kernel":
+            continue
+        g = detect_cc_backdoor(f, "aff").formula
+        sec.add((i, outcome(AffSystem.from_formula, g, show=system_rows),
+                 outcome(lambda: kernelize(AffSystem.from_formula(g), g.matrix.backdoor_variables()),
+                         show=kernel)))
+    for rng, prefix, rows, s, cover in systems(seed):
+        if isinstance(s, Exception):
+            sec.add(f"{type(s).__name__}: {s}")
+        else:
+            sec.add((atoms(s.rows), outcome(kernelize, s, sorted(cover), show=kernel)))
+        lifted = [r for r in rows if isinstance(r, AffineEquation)]
+        lifted += [random_clause(rng, len(prefix))
+                   for _ in range(rng.randint(0, 3))]  # wide ones cannot be lifted
+        f = QbfFormula(prefix, Matrix(tuple(lifted), ()))
+        sec.add(outcome(AffSystem.from_formula, f, show=system_rows))
+    return sec
+
+
+def pivot_elim_section(seed):
+    sec = Section("pivot_elim")
+    for rng, prefix, _, s, _ in systems(seed):
+        if isinstance(s, Exception) or not s.rows:
+            continue
+        for _ in range(3):
+            i = rng.randint(-1, len(s.rows)) if rng.random() < 0.1 else rng.randrange(len(s.rows))
+            row = s.rows[i] if 0 <= i < len(s.rows) else s.rows[0]
+            r = rng.random()
+            if row.vars and r < 0.5:
+                x = prefix.innermost_of(row.vars)
+            elif row.vars and r < 0.9:
+                x = rng.choice(sorted(row.vars))
+            else:
+                x = rng.randint(1, len(prefix) + 1)
+            sec.add((i, x, outcome(pivot, s, x, i, show=system_rows),
+                     outcome(elim, s, x, i, show=system_rows)))
+    return sec
+
+
+def main(argv) -> int:
+    if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
+        print("usage: python3 tools/digest.py SEED", file=sys.stderr)
+        return 2
+    seed = int(argv[0])
+    texts = list(pools(seed))
+    for sec in (dispatch_section(seed, texts), rank_section(seed, texts),
+                affsystem_section(seed, texts), pivot_elim_section(seed)):
+        print(sec.line(), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
