@@ -182,13 +182,18 @@ def rank_classes(formula: QbfFormula, candidates=None) -> list:
     Ties keep the candidate order. Classes that cannot cover the formula
     (equations outside a clausal class) are skipped.
     """
-    atoms = formula.matrix.atoms()
-    found = []
-    for bc, out, vs in _covers(formula, DEFAULT_CANDIDATES if candidates is None else candidates):
-        skip = set(out)
-        matrix = Matrix(tuple(a for i, a in enumerate(atoms) if i not in skip), tuple(atoms[i] for i in out))
-        found.append(CcBackdoor(bc, frozenset(vs), QbfFormula(formula.prefix, matrix, bc)))
+    candidates = DEFAULT_CANDIDATES if candidates is None else candidates
+    found = [_backdoor(formula, *c) for c in _covers(formula, candidates)]
     return sorted(found, key=lambda bd: bd.k)  # stable: ties keep the candidate order
+
+
+def _backdoor(formula: QbfFormula, bc: BaseClass, out, vs) -> CcBackdoor:
+    """The CcBackdoor of one (class, outside indices, cover variables) that
+    _covers yields: the atoms outside the class become the cover."""
+    atoms = formula.matrix.atoms()
+    skip = set(out)
+    matrix = Matrix(tuple(a for i, a in enumerate(atoms) if i not in skip), tuple(atoms[i] for i in out))
+    return CcBackdoor(bc, frozenset(vs), QbfFormula(formula.prefix, matrix, bc))
 
 
 @dataclass

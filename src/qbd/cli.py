@@ -100,7 +100,7 @@ def cmd_solve(args) -> int:
         try:
             tree = extract_strategy(formula, brute_cap)
             _emit(tree.to_text() + "\n", args.emit_strategy)
-        except CapError as exc:
+        except (CapError, OSError) as exc:
             print(f"qbd: strategy not written: {exc}", file=sys.stderr)
     return EXIT_TRUE if verdict.value else EXIT_FALSE
 
@@ -381,3 +381,7 @@ def run(argv) -> int:
 
 def main(argv=None) -> None:
     sys.exit(run(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

@@ -165,11 +165,20 @@ class Prefix:
 
     def without(self, drop: Iterable[Var]) -> "Prefix":
         gone = set(drop)
-        return Prefix(tuple(e for e in self.entries if e[0] not in gone))
+        return self._kept(tuple(e for e in self.entries if e[0] not in gone))
 
     def restrict(self, keep: Iterable[Var]) -> "Prefix":
         stay = set(keep)
-        return Prefix(tuple(e for e in self.entries if e[0] in stay))
+        return self._kept(tuple(e for e in self.entries if e[0] in stay))
+
+    @staticmethod
+    def _kept(entries: tuple) -> "Prefix":
+        """A Prefix of entries kept, in order, from a checked one: they pass
+        every check of __post_init__, so only their positions are built."""
+        out = object.__new__(Prefix)
+        object.__setattr__(out, "entries", entries)
+        object.__setattr__(out, "_pos", {v: i for i, (v, _) in enumerate(entries)})
+        return out
 
     def innermost_of(self, vars: Iterable[Var]) -> Var:
         """The member of `vars` quantified last (maximal position)."""
@@ -251,19 +260,6 @@ class Violation:
     detail: str
 
 
-def _apply_clause(c: Clause, tau: Assignment):
-    """Clause under a partial assignment: None if satisfied, else residual."""
-    out = []
-    for l in c:
-        v = abs(l)
-        if v in tau:
-            if tau[v] == (1 if l > 0 else 0):
-                return None
-        else:
-            out.append(l)
-    return frozenset(out)
-
-
 def _apply_equation(eq: AffineEquation, tau: Assignment):
     """Equation under a partial assignment: None if reduced to 0=0."""
     parity = eq.rhs
@@ -292,16 +288,17 @@ def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
             raise DomainError(f"assigned variable {v} not in prefix")
         if b not in (0, 1):
             raise DomainError(f"assignment value for {v} must be 0 or 1")
+    true = {v if b else -v for v, b in tau.items()}
+    false = {-l for l in true}
     tract = []
     for a in formula.matrix.tractable:
-        r = _apply_equation(a, tau) if isinstance(a, AffineEquation) else _apply_clause(a, tau)
-        if r is not None:
-            tract.append(r)
-    back = []
-    for c in formula.matrix.backdoor:
-        r = _apply_clause(c, tau)
-        if r is not None:
-            back.append(r)
+        if isinstance(a, AffineEquation):
+            r = _apply_equation(a, tau)
+            if r is not None:
+                tract.append(r)
+        elif true.isdisjoint(a):  # else satisfied
+            tract.append(a if false.isdisjoint(a) else a - false)
+    back = [c if false.isdisjoint(c) else c - false for c in formula.matrix.backdoor if true.isdisjoint(c)]
     return QbfFormula(
         prefix=formula.prefix.without(tau),
         matrix=Matrix(tuple(tract), tuple(back)),

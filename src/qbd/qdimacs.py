@@ -23,13 +23,14 @@ from .formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula,
 
 
 def _ints(tokens, lineno):
-    out = []
-    for tok in tokens:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ParseError(f"expected an integer, got {tok!r}", line=lineno) from None
-    return out
+    try:
+        return [*map(int, tokens)]
+    except ValueError:  # name the first token that is not an integer
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise ParseError(f"expected an integer, got {tok!r}", line=lineno) from None
 
 
 def _body(tokens, lineno):
@@ -41,6 +42,12 @@ def _body(tokens, lineno):
     if 0 in lits:
         raise ParseError("stray 0 before the line terminator", line=lineno)
     return lits
+
+
+def _out_of_range(lits, nvars, lineno):
+    """Raise for the first variable of `lits` beyond the declared count."""
+    v = next(abs(l) for l in lits if abs(l) > nvars)
+    raise ParseError(f"variable {v} exceeds the declared count {nvars}", line=lineno)
 
 
 def parse_qdimacs(text: str) -> QbfFormula:
@@ -58,6 +65,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
     in_backdoor = False
     tractable = []
     covered = []
+    mvars = set()  # the matrix variables
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -105,27 +113,31 @@ def parse_qdimacs(text: str) -> QbfFormula:
             lits = _body(tokens[1:], lineno)
             for l in lits:
                 if abs(l) > nvars:
-                    raise ParseError(f"variable {abs(l)} exceeds the declared count {nvars}", line=lineno)
+                    _out_of_range(lits, nvars, lineno)
             eq = AffineEquation.from_literals(lits, rhs=1)
             if not eq.is_trivial:
                 tractable.append(eq)
+                mvars.update(eq.vars)
             continue
         lits = _body(tokens, lineno)
-        for l in lits:
-            if abs(l) > nvars:
-                raise ParseError(f"variable {abs(l)} exceeds the declared count {nvars}", line=lineno)
-        try:
-            c = clause(*lits)
-        except TautologyError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+        vs = {*map(abs, lits)}
+        if vs and max(vs) > nvars:
+            _out_of_range(lits, nvars, lineno)
+        c = frozenset(lits)
+        if len(c) != len(vs):  # some variable occurs with both signs
+            try:
+                clause(*lits)
+            except TautologyError as exc:
+                raise ParseError(str(exc), line=lineno) from None
         (covered if in_backdoor else tractable).append(c)
+        mvars |= vs
     if nvars is None:
         raise ParseError("missing 'p cnf' header")
     got = len(tractable) + len(covered)
     if nclauses != got:
         warnings.warn(f"header declares {nclauses} matrix lines, found {got}", stacklevel=2)
     matrix = Matrix(tuple(tractable), tuple(covered))
-    free = sorted(matrix.variables() - seen)
+    free = sorted(mvars - seen)
     if free:
         warnings.warn(
             "unquantified variable(s) "

@@ -19,7 +19,7 @@ import os
 import warnings
 from dataclasses import dataclass
 
-from .backdoor import SOLVABLE, BaseClass, SolveStats, _covers, detect_cc_backdoor, verify_partition
+from .backdoor import SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor, verify_partition
 from .errors import CapError, ClassError
 from .formula import QbfFormula, apply_assignment
 from .oracle import BRUTE_CAP, eval_bruteforce
@@ -133,8 +133,7 @@ def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None) 
     candidates = sorted(SOLVABLE, key=lambda tag: tag != declared)  # declared first
     # the head of rank_classes(formula, candidates); aff covers every
     # formula (equations are always inside it), so there is always one
-    head, _, _ = min(_covers(formula, candidates, cut=True), key=lambda c: len(c[2]))
-    best = detect_cc_backdoor(formula, head)
+    best = _backdoor(formula, *min(_covers(formula, candidates, cut=True), key=lambda c: len(c[2])))
     if best.k >= n > 0:
         if n <= brute_cap:
             return _brute(formula, brute_cap)

@@ -37,6 +37,39 @@ def naive_eval(formula):
     return play(0, {})
 
 
+def reference_apply(formula, tau):
+    """apply_assignment literal by literal: a clause is dropped at its first
+    true literal and loses its false ones; an equation folds its assigned
+    variables into the parity and is dropped once it reads 0 = 0."""
+
+    def clause_under(c):
+        out = []
+        for l in c:
+            if abs(l) not in tau:
+                out.append(l)
+            elif tau[abs(l)] == (1 if l > 0 else 0):
+                return None
+        return frozenset(out)
+
+    def equation_under(eq):
+        parity, rest = eq.rhs, []
+        for v in eq.vars:
+            if v in tau:
+                parity ^= tau[v] & 1
+            else:
+                rest.append(v)
+        out = AffineEquation(frozenset(rest), parity)
+        return None if out.is_trivial else out
+
+    def under(atoms):
+        done = (equation_under(a) if isinstance(a, AffineEquation) else clause_under(a) for a in atoms)
+        return tuple(a for a in done if a is not None)
+
+    prefix = Prefix(tuple(e for e in formula.prefix.entries if e[0] not in tau))
+    matrix = Matrix(under(formula.matrix.tractable), under(formula.matrix.backdoor))
+    return QbfFormula(prefix, matrix, formula.base_class)
+
+
 def reference_ranking(formula, tags):
     """rank_classes as one detection per candidate: ClassError skipped,
     sorted by (k, index)."""

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +85,15 @@ class TestSolve:
         assert cli.run(["solve", str(p), "--emit-strategy", str(target)]) == 10
         assert not target.exists()
         assert "strategy not written" in capsys.readouterr().err
+
+    def test_unwritable_strategy_path_keeps_the_verdict(self, example, capsys):
+        target = "/nonexistent-dir/strategy.txt"
+        assert cli.run(["solve", example, "--emit-strategy", target]) == 10
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "s TRUE"
+        assert captured.err.startswith("qbd: strategy not written: ")
+        assert target in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_deep_prefix(self, tmp_path, capsys):
         # 5,000 existentials, one of them per search node, and a cover
@@ -390,3 +403,12 @@ class TestEntry:
         with pytest.raises(SystemExit) as ei:
             cli.main(["detect", example])
         assert ei.value.code == 0
+
+    def test_module_runs_as_a_script(self, example):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "qbd.cli", "solve", example],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode in (10, 20)
+        assert done.stdout.splitlines()[0] == ("s TRUE" if done.returncode == 10 else "s FALSE")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from qbd.errors import DomainError, TautologyError
 from qbd.formula import (
@@ -19,7 +20,8 @@ from qbd.formula import (
     validate,
     var_of,
 )
-from helpers import running_example
+from helpers import reference_apply, running_example
+from strategies import PROPERTY, formulas
 
 
 def test_literal_helpers():
@@ -131,6 +133,16 @@ class TestApplyAssignment:
         assert apply_assignment(base, {1: 1, 2: 0}).matrix.tractable == ()
         falsum = apply_assignment(base, {1: 1, 2: 1}).matrix.tractable
         assert falsum == (AffineEquation(frozenset(), 1),)
+
+    @PROPERTY
+    @given(formulas(), st.data())
+    def test_matches_the_per_literal_reference(self, f, data):
+        n = len(f.prefix)
+        values = data.draw(st.lists(st.sampled_from((None, 0, 1, False, True)), min_size=n, max_size=n))
+        tau = {v: b for v, b in zip(f.prefix.variables(), values) if b is not None}  # partial
+        out, expected = apply_assignment(f, tau), reference_apply(f, tau)
+        assert out == expected
+        assert out.prefix._pos == expected.prefix._pos
 
     def test_rejects_unknown_variable_and_bad_value(self):
         f = running_example()

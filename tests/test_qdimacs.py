@@ -106,6 +106,12 @@ def test_count_mismatch_warns():
         ("p cnf 2 1\nc class nonsense\n", "nonsense", 2),
         ("p cnf 2 1\nc class horn aff\n", "one tag", 2),
         ("p cnf 2 2\ne 1 2 0\nc backdoor-begin\nx 1 2 0\n", "clauses only", 4),
+        ("p cnf 1 1\ne 1 0\n1 x 0\n", "'x'", 3),
+        ("p cnf 2 1\ne 1 2 0\n1 0 2 0\n", "stray 0", 3),
+        ("p cnf 2 1\ne 1 2 0\n1 -1 3 0\n", "variable 3 exceeds", 3),
+        ("p cnf 2 1\ne 1 2 0\n1 3 -5 0\n", "variable 3 exceeds", 3),
+        ("p cnf 2 1\ne 1 y 0\n1 0\n", "'y'", 2),
+        ("p cnf 2 1\ne 1 2 2 0\n1 0\n", "variable 2 quantified twice", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from qbd import special
+from qbd import backdoor
 from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, rank_classes
 from qbd.errors import CapError, ClassError, DomainError
 from qbd.formula import Matrix, Prefix, QbfFormula, clause
@@ -254,20 +254,24 @@ class TestDispatch:
     @PROPERTY
     @given(formulas(), st.sampled_from(SOLVABLE))
     def test_one_detection_per_dispatch(self, f, forced):
-        real = special.detect_cc_backdoor
-        with mock.patch.object(special, "detect_cc_backdoor", side_effect=real) as counter, \
+        """Counts membership scans: auto dispatch ranks the classes and
+        builds the winner's partition from one scan, and the engine's
+        preamble makes the second; a forced engine detects, then checks."""
+        real = backdoor._outside
+        with mock.patch.object(backdoor, "_outside", side_effect=real) as scans, \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the over-cap warning
             for cap in (0, 24):  # the covered engine above the cap, brute force under it
-                counter.reset_mock()
-                dispatch(f, brute_cap=cap)
-                assert counter.call_count == 1
-            counter.reset_mock()
+                scans.reset_mock()
+                verdict = dispatch(f, brute_cap=cap)
+                assert scans.call_count == (1 if verdict.algorithm == "brute" else 2)
+            scans.reset_mock()
             try:
                 dispatch(replace(f, base_class=None), algorithm=forced)
             except ClassError:  # the forced class cannot cover an equation
-                pass
-            assert counter.call_count == 1
-            counter.reset_mock()
+                assert scans.call_count == 1
+            else:
+                assert scans.call_count == 2
+            scans.reset_mock()
             dispatch(f, algorithm="brute")
-            assert counter.call_count == 0
+            assert scans.call_count == 0

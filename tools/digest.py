@@ -18,6 +18,15 @@ input below. The sections:
                 forced), on the parity-kernel pool and on random systems
                 with covers; AffSystem.from_formula on random matrices
   pivot_elim    pivot and elim rows on the random systems
+  parse         parse_qdimacs (formula and warnings, or the error and its
+                line) on every pool text and on copies with one line broken:
+                a non-integer token, out-of-range variables, a stray 0, a
+                missing terminator, a tautology, both of the last two, a
+                variable quantified twice, a negative quantified variable
+  prefix        Prefix (entries and positions, or the error) on random
+                entry lists with bools, 0, negatives, duplicates, bad
+                quantifiers, unhashable items and malformed entries, and
+                its without and restrict on random variable sets
 
 Each line reads `section sha256 items`. Random inputs are drawn from a
 random.Random seeded with the section name and SEED.
@@ -85,6 +94,8 @@ def outcome(fn, *args, show=repr):
             out = show(fn(*args))
         except Exception as exc:  # the digest records every error, by type and message
             out = f"{type(exc).__name__}: {exc}"
+            if hasattr(exc, "line"):  # and the line a ParseError names
+                out = (out, exc.line)
     return (out, tuple(str(w.message) for w in caught))
 
 
@@ -254,6 +265,101 @@ def pivot_elim_section(seed):
     return sec
 
 
+MUTATIONS = ("non-integer", "out-of-range", "stray-0", "no-terminator", "tautology",
+             "range-and-tautology", "twice", "negative")
+NOT_INTS = ("y", "1.5", "--2", "0x1", "+3", "1_0", "\u0663")
+
+
+def mutate(rng, text, kind):
+    """`text` with one prefix or matrix line broken the way `kind` says."""
+    lines = text.splitlines()
+    nvars = int(next(line for line in lines if line.startswith("p ")).split()[2])
+    heads = [line.split()[0] for line in lines]
+    quant = [i for i, h in enumerate(heads) if h in (EXISTS, FORALL)]
+    body = [i for i, h in enumerate(heads) if h not in ("c", "p", EXISTS, FORALL)]
+    clauses = [i for i in body if heads[i] != "x"] or body
+    if kind in ("twice", "negative"):
+        i = rng.choice(quant)
+    elif kind in ("tautology", "range-and-tautology"):
+        i = rng.choice(clauses)
+    else:
+        i = rng.choice(quant + body)
+    toks = lines[i].split()
+    first = int(heads[i] in ("x", EXISTS, FORALL))  # the head stays
+    lits = toks[first:-1]
+    j = rng.randrange(len(lits) + 1)
+    if kind == "non-integer":
+        toks[rng.randrange(first, len(toks))] = rng.choice(NOT_INTS)
+    elif kind == "out-of-range":  # one or two, so that the first is not always the largest
+        for _ in range(rng.randint(1, 2)):
+            lits.insert(rng.randrange(len(lits) + 1), str(rng.choice((1, -1)) * (nvars + rng.randint(1, 3))))
+    elif kind == "stray-0":
+        lits.insert(j, "0")
+    elif kind == "no-terminator":
+        toks.pop()
+    elif kind in ("tautology", "range-and-tautology"):
+        lits.insert(j, str(-int(rng.choice(lits))))
+        if kind == "range-and-tautology":
+            lits.insert(rng.randrange(len(lits) + 1), str(nvars + 1))
+    elif kind == "twice":
+        earlier = [v for q in quant if q <= i for v in lines[q].split()[1:-1]]
+        lits.insert(j, rng.choice(earlier))
+    else:  # negative
+        k = rng.randrange(len(lits))
+        lits[k] = f"-{lits[k]}"
+    if kind not in ("non-integer", "no-terminator"):
+        toks = toks[:first] + lits + toks[-1:]
+    lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def parse_section(seed):
+    sec = Section("parse")
+    rng = random.Random(f"parse:{seed}")
+    for family, count in gen.POOL.items():
+        for i in range(count):
+            text = gen.instance(family, seed, i).text
+            sec.add((family, i, outcome(parse_qdimacs, text, show=formula)))
+            for kind in MUTATIONS:
+                sec.add((kind, outcome(parse_qdimacs, mutate(rng, text, kind), show=formula)))
+    return sec
+
+
+class Small(int):
+    """An int subclass, which Prefix takes as a variable."""
+
+
+def random_entry(rng, seen, n, rate):
+    """One prefix entry: a repeat, a bad variable, a bad quantifier or a
+    malformed entry, each with probability `rate`; else a fresh variable."""
+    v = rng.randint(1, n) if seen and rng.random() < rate else len(seen) + 1
+    q = rng.choice((EXISTS, FORALL))
+    r = rng.random()
+    if r < rate:
+        v = rng.choice((True, False, 0, -v, Small(v), float(v), str(v), None, [v]))
+    elif r < 2 * rate:
+        q = rng.choice(("x", "E", "", None, 1, [q], "ea"))
+    elif r < 3 * rate:
+        return rng.choice(((v,), (v, q, 0), [v, q], f"{q}{v}"[:2], v))
+    seen.append(v)
+    return (v, q)
+
+
+def prefix_section(seed):
+    sec = Section("prefix")
+    rng = random.Random(f"prefix:{seed}")
+    for _ in range(RANDOM_DRAWS):
+        n = rng.choice((0, 1, 2, 5, 12, 40, 400))
+        rate = rng.choice((0.0, 0.005, 0.02))
+        seen = []
+        entries = tuple(random_entry(rng, seen, n, rate) for _ in range(n))
+        sec.add(outcome(Prefix, entries, show=lambda p: (p.entries, p._pos)))
+        some = rng.sample(range(n + 2), rng.randint(0, n + 2))
+        for cut in ("without", "restrict"):  # on the prefix built, if one was
+            sec.add(outcome(lambda: getattr(Prefix(entries), cut)(some), show=lambda p: (p.entries, p._pos)))
+    return sec
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
         print("usage: python3 tools/digest.py SEED", file=sys.stderr)
@@ -261,7 +367,8 @@ def main(argv) -> int:
     seed = int(argv[0])
     texts = list(pools(seed))
     for sec in (dispatch_section(seed, texts), rank_section(seed, texts),
-                affsystem_section(seed, texts), pivot_elim_section(seed)):
+                affsystem_section(seed, texts), pivot_elim_section(seed),
+                parse_section(seed), prefix_section(seed)):
         print(sec.line(), flush=True)
     return 0
 
