@@ -268,7 +268,10 @@ def solve_aff(formula: QbfFormula):
     """Decide a formula whose tractable part is affine; returns
     (value, SolveStats). Branches only on covered variables that no
     kernel equation forces, so at most 2^k leaves."""
-    cover = verify_partition(formula, BaseClass("aff"))
+    return _solve_aff(formula, verify_partition(formula, BaseClass("aff")))
+
+
+def _solve_aff(formula: QbfFormula, cover: frozenset):
     stats = SolveStats(initial_k=len(cover))
     try:
         kr = kernelize(AffSystem.from_formula(formula), cover)

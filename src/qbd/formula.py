@@ -283,11 +283,13 @@ def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
     Assigned variables leave the prefix. Atoms keep their partition and
     relative order.
     """
-    for v, b in tau.items():
-        if v not in formula.prefix:
-            raise DomainError(f"assigned variable {v} not in prefix")
-        if b not in (0, 1):
-            raise DomainError(f"assignment value for {v} must be 0 or 1")
+    vals = [*tau.values()]  # compared, never hashed: a value may be unhashable
+    if not (tau.keys() <= formula.prefix._pos.keys() and vals.count(0) + vals.count(1) == len(vals)):
+        for v, b in tau.items():  # some entry is bad: name the first
+            if v not in formula.prefix:
+                raise DomainError(f"assigned variable {v} not in prefix")
+            if b not in (0, 1):
+                raise DomainError(f"assignment value for {v} must be 0 or 1")
     true = {v if b else -v for v, b in tau.items()}
     false = {-l for l in true}
     tract = []

@@ -151,8 +151,9 @@ class _Search:
     derived binary clauses grow, so once a node's width-2 game holds no
     path between universals and no universal that shares a strongly
     connected component with an outer existential, every descendant's
-    holds none either. Every node below the root is such a node, since an
-    arm is only applied when its game is true.
+    holds none either. So the root's game is decided once, by the exact
+    `_game_true`: a false one makes the formula false (the covered clauses
+    only add constraints), and below a true one `_look` decides every arm.
     """
 
     def __init__(self, formula: QbfFormula):
@@ -260,21 +261,18 @@ class _Search:
                 stack.append(s)
         return new
 
-    def _game_true(self, out=frozenset()) -> bool:
-        """The strongly connected components test of the width-2 game on
-        the live graph without the derivable units and the positions in
-        `out`. It is false exactly when a path joins two universal literals
-        or a component holds a universal literal and an existential one
-        quantified before it. The derivable units and a contradiction are
-        the caller's to check. Iterative Tarjan: a component is completed
-        only after every component it reaches, so whether it reaches a
-        universal is known from its out-edges."""
-        adj, val, unit, univ = self.adj, self.val, self.unit, self.univ
+    def _game_true(self) -> bool:
+        """The strongly connected components test of the root's width-2
+        game, on the graph without the derivable units. It is false exactly
+        when a path joins two universal literals or a component holds a
+        universal literal and an existential one quantified before it. The
+        derivable units and a contradiction are the caller's to check.
+        Iterative Tarjan: a component is completed only after every
+        component it reaches, so whether it reaches a universal is known
+        from its out-edges."""
+        adj, unit, univ = self.adj, self.unit, self.univ
         m = len(adj)
-        live = [
-            val[l >> 1] < 0 and not unit[l] and not unit[l ^ 1] and l >> 1 not in out
-            for l in range(m)
-        ]
+        live = [not unit[l] and not unit[l ^ 1] for l in range(m)]
         index = [-1] * m
         low = [0] * m
         comp = [-1] * m
@@ -332,24 +330,16 @@ class _Search:
                     to_univ.append(bool(universals) or reaches)
         return True
 
-    def _arms(self, cursor: int, cover: set, clean: bool):
+    def _arms(self, cursor: int, cover: set):
         """The node at the variable in position `cursor`, with covered
         clauses still open: None when it rejects, else the arm to play and,
         at a branch, the other arm. An arm is (pivot literal, the units it
         newly derives)."""
-        arms = []
-        for pivot in (2 * cursor + 1, 2 * cursor):  # the values 0 and 1
-            new = self._look(pivot)
-            if new is not None and not clean:
-                if not self._game_true({t >> 1 for t in new} | {cursor}):
-                    new = None
-            arms.append((pivot, new))
+        arms = [(pivot, self._look(pivot)) for pivot in (2 * cursor + 1, 2 * cursor)]  # the values 0 and 1
         live = [a for a in arms if a[1] is not None]
         exist = not self.univ[cursor]
-        if not live or (len(live) == 1 and not exist):
-            return None
-        if len(live) == 1:
-            return live[0], None
+        if len(live) < 2:
+            return (live[0], None) if live and exist else None
         free = [b for b in (1, 0) if not any(t >> 1 in cover for t in arms[b][1])]
         if free:
             return arms[free[0] if exist else 1 - free[0]], None
@@ -358,12 +348,10 @@ class _Search:
     def run(self, stats: SolveStats) -> bool:
         """Search to the end; returns the value and counts into `stats`."""
         univ, val = self.univ, self.val
-        if self.refuted:
+        if self.refuted or not self._game_true():
             # every decision at the root rejects
             stats.leaves = 1
             return False
-        # this node's width-2 game is true; below the root it always is
-        clean = self._game_true()
         frames = []  # per open branch: [existential, trail mark, cursor, depth, other arm]
         cursor = depth = 0
         while True:
@@ -372,7 +360,7 @@ class _Search:
             if cover:
                 while val[cursor] >= 0:
                     cursor += 1
-                move = self._arms(cursor, cover, clean)
+                move = self._arms(cursor, cover)
                 if move is not None:
                     arm, other = move
                     if other is not None:
@@ -380,10 +368,9 @@ class _Search:
                         frames.append([not univ[cursor], len(self.trail), cursor, depth, other])
                     self._play(arm)
                     depth += 1
-                    clean = True
                     continue
             # a leaf: every covered clause is satisfied, one is false, or the node rejects
-            value = clean if cover is not None and not cover else False
+            value = cover is not None and not cover
             stats.leaves += 1
             while frames:
                 frame = frames[-1]
@@ -402,5 +389,9 @@ class _Search:
 
 def solve(formula: QbfFormula):
     """Decide the formula; returns (value, SolveStats)."""
-    stats = SolveStats(initial_k=len(verify_partition(formula, BaseClass("2cnf"))))
+    return _solve(formula, verify_partition(formula, BaseClass("2cnf")))
+
+
+def _solve(formula: QbfFormula, cover: frozenset):
+    stats = SolveStats(initial_k=len(cover))
     return _Search(formula).run(stats), stats

@@ -8,9 +8,11 @@ occurrences is best set to 1 by its owner and to 0 by the opponent, so every
 uncovered variable's move is known in advance. What survives lives entirely
 on covered variables and is enumerated, at most 2^k plays.
 
+An engine's public function runs backdoor.verify_partition, then a private
+core on the formula and its cover; _ENGINES maps each class to its core.
 dispatch() picks an engine: a forced one, or the smallest detected cover
 among the solvable classes, with brute force as the fallback when no cover
-beats plain enumeration.
+beats plain enumeration, and hands the core the partition its scan built.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 from .backdoor import SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor, verify_partition
 from .errors import CapError, ClassError
-from .formula import QbfFormula, apply_assignment
+from .formula import QbfFormula, apply_assignment, require_quantified
 from .oracle import BRUTE_CAP, eval_bruteforce
-from .affine import solve_aff
-from .solver2cnf import solve as solve_2cnf
+from .affine import _solve_aff, solve_aff  # noqa: F401  (bench/tracer.py wraps solve_aff here)
+from .solver2cnf import _solve as _solve_2cnf, solve as solve_2cnf  # noqa: F401  (and solve_2cnf)
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,7 @@ class Verdict:
     stats: SolveStats
 
 
-def _solve_sign(formula: QbfFormula, kind: str, good: int):
-    cover = verify_partition(formula, BaseClass(kind))
+def _solve_sign(formula: QbfFormula, cover: frozenset, good: int):
     stats = SolveStats(initial_k=len(cover))
     f = formula
     while True:  # a round: collect every unit, then rebuild once
@@ -71,30 +73,33 @@ def _solve_sign(formula: QbfFormula, kind: str, good: int):
 def solve_posneg(formula: QbfFormula):
     """Decide a formula whose tractable part holds positive clauses and
     negative units; returns (value, SolveStats)."""
-    return _solve_sign(formula, "posneg", 1)
+    return _solve_sign(formula, verify_partition(formula, BaseClass("posneg")), 1)
 
 
 def solve_dual_posneg(formula: QbfFormula):
     """Mirror engine: negative clauses plus positive units."""
-    return _solve_sign(formula, "dual-posneg", 0)
+    return _solve_sign(formula, verify_partition(formula, BaseClass("dual-posneg")), 0)
 
 
-# one engine per solvable class, in the order of SOLVABLE
-_ENGINES = dict(zip(SOLVABLE, (solve_2cnf, solve_aff, solve_posneg, solve_dual_posneg)))
+# one engine core per solvable class, in the order of SOLVABLE: (formula, cover) -> (value, SolveStats)
+_ENGINES = dict(zip(SOLVABLE, (_solve_2cnf, _solve_aff, partial(_solve_sign, good=1), partial(_solve_sign, good=0))))
 
 
 def resolve_brute_cap(flag: int = None) -> int:
     """The variable budget for brute force: the flag if given, else
-    QBD_BRUTE_CAP, else oracle.BRUTE_CAP."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get("QBD_BRUTE_CAP")
-    if raw is None:
-        return BRUTE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise CapError(f"QBD_BRUTE_CAP must be an integer, got {raw!r}") from None
+    QBD_BRUTE_CAP, else oracle.BRUTE_CAP. A negative budget is refused."""
+    source = "the brute-force cap"
+    if flag is None:
+        raw = os.environ.get("QBD_BRUTE_CAP")
+        if raw is None:
+            return BRUTE_CAP
+        try:
+            flag, source = int(raw), "QBD_BRUTE_CAP"
+        except ValueError:
+            raise CapError(f"QBD_BRUTE_CAP must be an integer, got {raw!r}") from None
+    if flag < 0:
+        raise CapError(f"{source} must not be negative, got {flag}")
+    return flag
 
 
 def _brute(formula: QbfFormula, cap) -> Verdict:
@@ -114,6 +119,8 @@ def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None) 
     A cover as large as the variable count buys nothing: such formulas fall
     back to brute force under `brute_cap` (see resolve_brute_cap) and run
     the covered engine anyway, with a warning, above it.
+    The engine's core gets the partition and cover that detection built,
+    after the one check detection does not make: every variable quantified.
     """
     brute_cap = resolve_brute_cap(brute_cap)
     n = len(formula.prefix)
@@ -126,21 +133,21 @@ def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None) 
             raise ClassError(
                 f"formula declares {formula.base_class.tag}, cannot force {algorithm}"
             )
-        bd = detect_cc_backdoor(formula, algorithm)
-        value, stats = _ENGINES[algorithm](bd.formula)
-        return Verdict(value, algorithm, stats)
-    declared = formula.base_class.kind if formula.base_class is not None else None
-    candidates = sorted(SOLVABLE, key=lambda tag: tag != declared)  # declared first
-    # the head of rank_classes(formula, candidates); aff covers every
-    # formula (equations are always inside it), so there is always one
-    best = _backdoor(formula, *min(_covers(formula, candidates, cut=True), key=lambda c: len(c[2])))
-    if best.k >= n > 0:
-        if n <= brute_cap:
-            return _brute(formula, brute_cap)
-        warnings.warn(
-            f"no cover smaller than the {n} variables; running {best.base_class.tag} "
-            f"with k={best.k} anyway",
-            stacklevel=2,
-        )
-    value, stats = _ENGINES[best.base_class.kind](best.formula)
+        best = detect_cc_backdoor(formula, algorithm)
+    else:
+        declared = formula.base_class.kind if formula.base_class is not None else None
+        candidates = sorted(SOLVABLE, key=lambda tag: tag != declared)  # declared first
+        # the head of rank_classes(formula, candidates); aff covers every
+        # formula (equations are always inside it), so there is always one
+        best = _backdoor(formula, *min(_covers(formula, candidates, cut=True), key=lambda c: len(c[2])))
+        if best.k >= n > 0:
+            if n <= brute_cap:
+                return _brute(formula, brute_cap)
+            warnings.warn(
+                f"no cover smaller than the {n} variables; running {best.base_class.tag} "
+                f"with k={best.k} anyway",
+                stacklevel=2,
+            )
+    require_quantified(formula)
+    value, stats = _ENGINES[best.base_class.kind](best.formula, best.variables)
     return Verdict(value, best.base_class.tag, stats)

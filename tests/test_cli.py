@@ -181,6 +181,22 @@ class TestSolve:
             "qbd: warning: no cover smaller than the 3 variables; running 2cnf with k=3 anyway"
         ]
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_brute_cap_is_one_error_line(self, source, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "empty.qdimacs"
+        p.write_text("p cnf 0 0\n")
+        argv = ["solve", str(p), "--emit-strategy", "-"]
+        if source == "flag":
+            argv += ["--brute-cap", "-1"]
+            message = "the brute-force cap must not be negative, got -1"
+        else:
+            monkeypatch.setenv("QBD_BRUTE_CAP", "-1")
+            message = "QBD_BRUTE_CAP must not be negative, got -1"
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qbd: {message}\n"
+
     def test_brute_cap_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "wide.qdimacs"
         p.write_text("p cnf 3 2\ne 1 2 3 0\n1 -2 3 0\n-1 2 -3 0\n")

@@ -151,6 +151,25 @@ class TestApplyAssignment:
         with pytest.raises(DomainError):
             apply_assignment(f, {1: 2})
 
+    def test_names_the_first_bad_entry(self):
+        f = running_example()
+        unknown, bad_value = "^assigned variable 9 not in prefix$", "^assignment value for {} must be 0 or 1$"
+        for tau, message in (
+            ({9: 1, 1: 2}, unknown),
+            ({9: 2}, unknown),  # the variable is checked before its value
+            ({1: 2, 9: 1}, bad_value.format(1)),
+            ({1: 0, 2: [1], 9: 1}, bad_value.format(2)),  # unhashable: DomainError, not TypeError
+            ({3: None}, bad_value.format(3)),
+            ({3: "1"}, bad_value.format(3)),
+            ({3: -1}, bad_value.format(3)),
+        ):
+            with pytest.raises(DomainError, match=message):
+                apply_assignment(f, tau)
+
+    def test_one_point_zero_and_true_are_values(self):
+        f = running_example()
+        assert apply_assignment(f, {1: 1.0, 2: True}) == apply_assignment(f, {1: 1, 2: 1})
+
 
 def test_eval_atom_and_matrix():
     tau = {1: 1, 2: 0, 3: 1}

@@ -176,8 +176,8 @@ class TestAgainstTheClosures:
             assert value == eval_bruteforce(f), f
             unclean_roots += structurally_false(f)
             branching += stats.branch_nodes > 0
-        # the look-ahead runs the strongly connected components test at
-        # such roots only (112 of these 3000)
+        # the search settles such roots false with one strongly connected
+        # components test (112 of these 3000)
         assert unclean_roots > 50
         assert branching > 300
 

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qbd import backdoor
+from qbd.affine import solve_aff
 from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, rank_classes
 from qbd.errors import CapError, ClassError, DomainError
 from qbd.formula import Matrix, Prefix, QbfFormula, clause
 from qbd.reductions import GenParams, dualize, gen_random
+from qbd.solver2cnf import solve as solve_2cnf
 from qbd.special import _ENGINES, Verdict, dispatch, solve_dual_posneg, solve_posneg
 from helpers import naive_eval, random_prefix, reference_ranking, running_example
 from strategies import PROPERTY, formulas
@@ -118,23 +121,35 @@ OUT_OF_CLASS = {
 }
 
 
-class TestPreamble:
-    """Every engine starts with backdoor.verify_partition."""
+# the public engines, in the order of SOLVABLE; _ENGINES holds their cores
+PUBLIC = dict(zip(SOLVABLE, (solve_2cnf, solve_aff, solve_posneg, solve_dual_posneg)))
 
-    @pytest.mark.parametrize("name", _ENGINES)
+
+class TestPreamble:
+    """Every public engine starts with backdoor.verify_partition; its core,
+    in _ENGINES, takes the checked partition and its cover."""
+
+    @pytest.mark.parametrize("name", PUBLIC)
     def test_unquantified_matrix_variable(self, name):
         for f in (instance("e1", [clause(2)]), instance("e1", [], [clause(1, 2)])):
             with pytest.raises(DomainError, match=r"matrix variables \[2\] not quantified"):
-                _ENGINES[name](f)
+                PUBLIC[name](f)
 
-    @pytest.mark.parametrize("name", _ENGINES)
+    @pytest.mark.parametrize("name", PUBLIC)
     def test_out_of_class_tractable_atom(self, name):
         atom = OUT_OF_CLASS[name]
         with pytest.raises(ClassError, match=f"not in {name}"):
-            _ENGINES[name](instance("e1 e2 e3", [atom]))
+            PUBLIC[name](instance("e1 e2 e3", [atom]))
         # class membership is checked before quantification
         with pytest.raises(ClassError, match=f"not in {name}"):
-            _ENGINES[name](instance("e1", [atom]))
+            PUBLIC[name](instance("e1", [atom]))
+
+    @PROPERTY
+    @given(formulas())
+    def test_each_core_matches_its_public_engine_on_a_detected_partition(self, f):
+        for bd in rank_classes(f, SOLVABLE):
+            kind = bd.base_class.kind
+            assert _ENGINES[kind](bd.formula, bd.variables) == PUBLIC[kind](bd.formula), kind
 
 
 class TestDispatch:
@@ -194,6 +209,27 @@ class TestDispatch:
         monkeypatch.setenv("QBD_BRUTE_CAP", "many")
         with pytest.raises(CapError, match="must be an integer"):
             dispatch(f)
+        monkeypatch.setenv("QBD_BRUTE_CAP", "-1")
+        with pytest.raises(CapError, match="^QBD_BRUTE_CAP must not be negative, got -1$"):
+            dispatch(f)
+        with pytest.raises(CapError, match="^the brute-force cap must not be negative, got -2$"):
+            dispatch(f, brute_cap=-2)
+
+    def test_unquantified_variable_raises_the_same_error_on_every_path(self):
+        narrow = instance("e1 e2 e3", [clause(1, 2)], [clause(-1, 4)])  # a 2cnf cover with k = 0
+        wide = instance("e1", [clause(1, -2, 3)])  # no cover smaller than its one variable
+        over_cap = ["no cover smaller than the 1 variables; running 2cnf with k=3 anyway"]
+        paths = [{}, {"brute_cap": 0}] + [{"algorithm": a} for a in (*SOLVABLE, "brute")]
+        for f, unbound, warned in ((narrow, [4], []), (wide, [2, 3], over_cap)):
+            message = "^" + re.escape(f"matrix variables {unbound} not quantified") + "$"
+            for kwargs in paths:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(DomainError, match=message):
+                        dispatch(f, **kwargs)
+                # wide runs brute force under the cap, and 2cnf after the warning over it
+                expected = warned if kwargs == {"brute_cap": 0} else []
+                assert [str(w.message) for w in caught] == expected, kwargs
 
     def test_auto_matches_the_naive_recursion_on_mixed_input(self):
         rng = random.Random(43)
@@ -242,7 +278,7 @@ class TestDispatch:
                         f"no cover smaller than the {n} variables; "
                         f"running {head.base_class.tag} with k={head.k} anyway"
                     )
-                value, stats = _ENGINES[head.base_class.kind](head.formula)
+                value, stats = PUBLIC[head.base_class.kind](head.formula)
                 expected = Verdict(value, head.base_class.tag, stats)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -255,23 +291,22 @@ class TestDispatch:
     @given(formulas(), st.sampled_from(SOLVABLE))
     def test_one_detection_per_dispatch(self, f, forced):
         """Counts membership scans: auto dispatch ranks the classes and
-        builds the winner's partition from one scan, and the engine's
-        preamble makes the second; a forced engine detects, then checks."""
+        builds the winner's partition from one scan, a forced engine detects
+        once, and the engine's core checks nothing again."""
         real = backdoor._outside
         with mock.patch.object(backdoor, "_outside", side_effect=real) as scans, \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the over-cap warning
             for cap in (0, 24):  # the covered engine above the cap, brute force under it
                 scans.reset_mock()
-                verdict = dispatch(f, brute_cap=cap)
-                assert scans.call_count == (1 if verdict.algorithm == "brute" else 2)
+                dispatch(f, brute_cap=cap)
+                assert scans.call_count == 1
             scans.reset_mock()
             try:
                 dispatch(replace(f, base_class=None), algorithm=forced)
             except ClassError:  # the forced class cannot cover an equation
-                assert scans.call_count == 1
-            else:
-                assert scans.call_count == 2
+                pass
+            assert scans.call_count == 1
             scans.reset_mock()
             dispatch(f, algorithm="brute")
             assert scans.call_count == 0

@@ -27,6 +27,15 @@ input below. The sections:
                 entry lists with bools, 0, negatives, duplicates, bad
                 quantifiers, unhashable items and malformed entries, and
                 its without and restrict on random variable sets
+  engines       each public engine on random formulas and on their
+                partitions into each solvable class, and dispatch on them in
+                auto mode (under and over the brute-force cap), in each
+                forced mode and in brute mode, with and without the declared
+                class: the value, SolveStats and warnings, or the error
+  apply         apply_assignment (formula and prefix positions, or the
+                error) on random formulas and assignments, some with unknown
+                variables or values other than 0 and 1: 2, -1, None, "1",
+                1.0, True and an unhashable list
 
 Each line reads `section sha256 items`. Random inputs are drawn from a
 random.Random seeded with the section name and SEED.
@@ -38,18 +47,20 @@ import hashlib
 import random
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402  (bench/gen.py, standard library only)
-from qbd.affine import AffSystem, elim, kernelize, pivot  # noqa: E402
-from qbd.backdoor import BaseClass, detect_cc_backdoor, rank_classes, verify_partition  # noqa: E402
-from qbd.formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula  # noqa: E402
+from qbd.affine import AffSystem, elim, kernelize, pivot, solve_aff  # noqa: E402
+from qbd.backdoor import SOLVABLE, BaseClass, detect_cc_backdoor, rank_classes, verify_partition  # noqa: E402
+from qbd.formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula, apply_assignment  # noqa: E402
 from qbd.oracle import BRUTE_CAP  # noqa: E402
 from qbd.qdimacs import parse_qdimacs  # noqa: E402
-from qbd.special import dispatch  # noqa: E402
+from qbd.solver2cnf import solve as solve_2cnf  # noqa: E402
+from qbd.special import dispatch, solve_dual_posneg, solve_posneg  # noqa: E402
 
 RANDOM_DRAWS = 10_000
 TAGS = ("2cnf", "horn", "dualhorn", "aff", "ihsb-", "ihsb+", "posneg", "dual-posneg",
@@ -360,6 +371,64 @@ def prefix_section(seed):
     return sec
 
 
+# the public engines, in the order of SOLVABLE
+PUBLIC = dict(zip(SOLVABLE, (solve_2cnf, solve_aff, solve_posneg, solve_dual_posneg)))
+
+
+def verdict(v):
+    return (v.value, v.algorithm, repr(v.stats))
+
+
+def solved(result):
+    value, stats = result
+    return (value, repr(stats))
+
+
+def engines_section(seed):
+    sec = Section("engines")
+    rng = random.Random(f"engines:{seed}")
+    for _ in range(RANDOM_DRAWS):
+        f = random_formula(rng)
+        bare = replace(f, base_class=None)
+        for kind, engine in PUBLIC.items():
+            sec.add((kind, outcome(engine, f, show=solved)))
+        for bd in rank_classes(bare, SOLVABLE):
+            sec.add((bd.base_class.tag, outcome(PUBLIC[bd.base_class.kind], bd.formula, show=solved)))
+        for cap in (0, BRUTE_CAP):  # over the cap the covered engine runs anyway
+            sec.add((cap, outcome(dispatch, f, None, cap, show=verdict)))
+        for g in (f, bare):
+            for algorithm in SOLVABLE + ("brute",):
+                sec.add((algorithm, outcome(dispatch, g, algorithm, BRUTE_CAP, show=verdict)))
+    return sec
+
+
+ODD_VALUES = (2, -1, None, "1", 1.0, True, [1])
+
+
+def random_tau(rng, prefix):
+    """Values of 0 or 1 for some prefix variables and, now and then, at a
+    random place, an unknown variable or a value from ODD_VALUES."""
+    n = len(prefix)
+    items = [(v, rng.randint(0, 1)) for v in rng.sample(prefix.variables(), rng.randint(0, n))]
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        if not items or rng.random() < 0.4:
+            entry = (rng.choice((n + 1, n + 2, 0, -1)), rng.randint(0, 1))
+        else:
+            entry = (rng.choice(items)[0], rng.choice(ODD_VALUES))
+        items.insert(rng.randrange(len(items) + 1), entry)
+    return dict(items)
+
+
+def apply_section(seed):
+    sec = Section("apply")
+    rng = random.Random(f"apply:{seed}")
+    for _ in range(RANDOM_DRAWS):
+        f = random_formula(rng)
+        tau = random_tau(rng, f.prefix)
+        sec.add(outcome(apply_assignment, f, tau, show=lambda g: (formula(g), g.prefix._pos)))
+    return sec
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
         print("usage: python3 tools/digest.py SEED", file=sys.stderr)
@@ -368,7 +437,8 @@ def main(argv) -> int:
     texts = list(pools(seed))
     for sec in (dispatch_section(seed, texts), rank_section(seed, texts),
                 affsystem_section(seed, texts), pivot_elim_section(seed),
-                parse_section(seed), prefix_section(seed)):
+                parse_section(seed), prefix_section(seed), engines_section(seed),
+                apply_section(seed)):
         print(sec.line(), flush=True)
     return 0
 
