@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import DomainError, TautologyError
+from .errors import ClassError, DomainError, TautologyError
 
 Var = int
 Lit = int
@@ -173,8 +173,9 @@ class Prefix:
 
     @staticmethod
     def _kept(entries: tuple) -> "Prefix":
-        """A Prefix of entries kept, in order, from a checked one: they pass
-        every check of __post_init__, so only their positions are built."""
+        """A Prefix of entries that pass every check of __post_init__, such
+        as those kept, in order, from a checked prefix, or those the QDIMACS
+        reader checked: only their positions are built."""
         out = object.__new__(Prefix)
         object.__setattr__(out, "entries", entries)
         object.__setattr__(out, "_pos", {v: i for i, (v, _) in enumerate(entries)})
@@ -266,7 +267,7 @@ def _apply_equation(eq: AffineEquation, tau: Assignment):
     rest = []
     for v in eq.vars:
         if v in tau:
-            parity ^= tau[v] & 1
+            parity ^= 1 if tau[v] else 0
         else:
             rest.append(v)
     out = AffineEquation(frozenset(rest), parity)
@@ -300,7 +301,10 @@ def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
                 tract.append(r)
         elif true.isdisjoint(a):  # else satisfied
             tract.append(a if false.isdisjoint(a) else a - false)
-    back = [c if false.isdisjoint(c) else c - false for c in formula.matrix.backdoor if true.isdisjoint(c)]
+    try:
+        back = [c if false.isdisjoint(c) else c - false for c in formula.matrix.backdoor if true.isdisjoint(c)]
+    except TypeError:  # an equation is not iterable
+        raise ClassError("the covered part holds clauses only") from None
     return QbfFormula(
         prefix=formula.prefix.without(tau),
         matrix=Matrix(tuple(tract), tuple(back)),
@@ -315,7 +319,7 @@ def eval_atom(atom: Atom, tau: Assignment) -> bool:
         for v in atom.vars:
             if v not in tau:
                 raise DomainError(f"variable {v} unassigned")
-            parity ^= tau[v] & 1
+            parity ^= 1 if tau[v] else 0
         return parity == atom.rhs
     for l in atom:
         v = abs(l)

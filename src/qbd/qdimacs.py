@@ -8,14 +8,27 @@ The dialect extends plain QDIMACS with three things:
 * a ``c backdoor-begin`` comment marks the start of the covered clauses;
   everything after it must be a plain clause.
 
+The reader takes each maximal run of clause lines, of quantifier lines
+and of equation lines as one block: one split, one int conversion, then a
+cut at the zeros. A block is taken only when bulk checks that suffice for
+every line to be valid all hold: only digits, "-", spaces and "\n" after
+the heads; as many lines as " 0\n" ends as zeros; every variable within
+the declared count; no tautology, no variable quantified twice, no
+variable repeated in an equation. Any other block, and every other line,
+goes through the per-line loop, which alone names the first bad line;
+clauses and equations are built from the same literal sequences either
+way.
+
 Relation tables use one line per relation: ``name arity : tuples`` with
 comma-separated 0/1 strings, ``#`` starting a comment.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
-from itertools import groupby
+from itertools import groupby, repeat
+from operator import neg
 
 from .backdoor import BaseClass
 from .errors import ParseError, TautologyError, UnknownTag
@@ -50,6 +63,13 @@ def _out_of_range(lits, nvars, lineno):
     raise ParseError(f"variable {v} exceeds the declared count {nvars}", line=lineno)
 
 
+# A maximal run of clause lines, of quantifier lines or of equation lines,
+# each of which starts at column 0, ends in "\n" and holds only digits, "-"
+# and spaces after its head. Any other character (a tab, "\r", "+", "_")
+# ends a run.
+_RUN = re.compile(r"^(?:(?:[-0-9][-0-9 ]*\n)+|(?:[ea] [-0-9 ]*\n)+|(?:x [-0-9 ]*\n)+)", re.M)
+
+
 def parse_qdimacs(text: str) -> QbfFormula:
     """Parse dialect text into a formula.
 
@@ -57,96 +77,201 @@ def parse_qdimacs(text: str) -> QbfFormula:
     and existential, with a warning; a wrong clause count in the header
     only warns as well.
     """
-    nvars = None
-    nclauses = None
-    entries = []
-    seen = set()
-    declared = None
-    in_backdoor = False
-    tractable = []
-    covered = []
-    mvars = set()  # the matrix variables
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        head = tokens[0]
-        if head == "c":
-            if len(tokens) >= 2 and tokens[1] == "class":
-                if len(tokens) != 3:
-                    raise ParseError("class comment takes exactly one tag", line=lineno)
+    reader = _Reader()
+    lineno = 1
+    end = 0
+    for m in _RUN.finditer(text):
+        gap = text[end:m.start()].splitlines()
+        reader.lines(gap, lineno)
+        lineno += len(gap)
+        run = m.group()
+        take = reader.prefix_run if run[0] in "ea" else reader.equation_run if run[0] == "x" else reader.clause_run
+        if not take(run):
+            reader.lines(run.splitlines(), lineno)
+        lineno += run.count("\n")
+        end = m.end()
+    reader.lines(text[end:].splitlines(), lineno)
+    return reader.formula()
+
+
+class _Reader:
+    """The state of one parse. `lines` is the per-line loop, which alone
+    names the first bad line. `clause_run`, `equation_run` and `prefix_run`
+    take a run of lines in bulk; when a bulk check fails they change
+    nothing and return False, and the run goes through `lines`."""
+
+    def __init__(self):
+        self.nvars = None
+        self.nclauses = None
+        self.entries = []
+        self.seen = set()
+        self.declared = None
+        self.in_backdoor = False
+        self.tractable = []
+        self.covered = []
+        self.mvars = set()  # the matrix variables
+
+    def lines(self, lines, start):
+        """Read `lines` one at a time; the first is line number `start`."""
+        nvars, nclauses, declared, in_backdoor = self.nvars, self.nclauses, self.declared, self.in_backdoor
+        entries, seen, tractable, covered, mvars = self.entries, self.seen, self.tractable, self.covered, self.mvars
+        for lineno, raw in enumerate(lines, start=start):
+            line = raw.strip()
+            if not line:
+                continue
+            tokens = line.split()
+            head = tokens[0]
+            if head == "c":
+                if len(tokens) >= 2 and tokens[1] == "class":
+                    if len(tokens) != 3:
+                        raise ParseError("class comment takes exactly one tag", line=lineno)
+                    try:
+                        declared = BaseClass.parse(tokens[2])
+                    except UnknownTag as exc:
+                        raise ParseError(str(exc), line=lineno) from None
+                elif len(tokens) >= 2 and tokens[1] == "backdoor-begin":
+                    in_backdoor = True
+                continue
+            if head == "p":
+                if nvars is not None:
+                    raise ParseError("duplicate header", line=lineno)
+                if len(tokens) != 4 or tokens[1] != "cnf":
+                    raise ParseError("header must read 'p cnf <vars> <clauses>'", line=lineno)
+                nvars, nclauses = _ints(tokens[2:], lineno)
+                if nvars < 0 or nclauses < 0:
+                    raise ParseError("header counts must be nonnegative", line=lineno)
+                continue
+            if nvars is None:
+                raise ParseError("matrix or prefix line before the header", line=lineno)
+            if head in (EXISTS, FORALL):
+                if tractable or covered:
+                    raise ParseError("quantifier line after the matrix began", line=lineno)
+                for v in _body(tokens[1:], lineno):
+                    if v < 0:
+                        raise ParseError(f"quantified variable must be positive, got {v}", line=lineno)
+                    if v > nvars:
+                        raise ParseError(f"variable {v} exceeds the declared count {nvars}", line=lineno)
+                    if v in seen:
+                        raise ParseError(f"variable {v} quantified twice", line=lineno)
+                    seen.add(v)
+                    entries.append((v, head))
+                continue
+            if head == "x":
+                if in_backdoor:
+                    raise ParseError("equation after backdoor-begin; covers hold clauses only", line=lineno)
+                lits = _body(tokens[1:], lineno)
+                for l in lits:
+                    if abs(l) > nvars:
+                        _out_of_range(lits, nvars, lineno)
+                eq = AffineEquation.from_literals(lits, rhs=1)
+                if not eq.is_trivial:
+                    tractable.append(eq)
+                    mvars.update(eq.vars)
+                continue
+            lits = _body(tokens, lineno)
+            vs = {*map(abs, lits)}
+            if vs and max(vs) > nvars:
+                _out_of_range(lits, nvars, lineno)
+            c = frozenset(lits)
+            if len(c) != len(vs):  # some variable occurs with both signs
                 try:
-                    declared = BaseClass.parse(tokens[2])
-                except UnknownTag as exc:
+                    clause(*lits)
+                except TautologyError as exc:
                     raise ParseError(str(exc), line=lineno) from None
-            elif len(tokens) >= 2 and tokens[1] == "backdoor-begin":
-                in_backdoor = True
-            continue
-        if head == "p":
-            if nvars is not None:
-                raise ParseError("duplicate header", line=lineno)
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise ParseError("header must read 'p cnf <vars> <clauses>'", line=lineno)
-            nvars, nclauses = _ints(tokens[2:], lineno)
-            if nvars < 0 or nclauses < 0:
-                raise ParseError("header counts must be nonnegative", line=lineno)
-            continue
+            (covered if in_backdoor else tractable).append(c)
+            mvars |= vs
+        self.nvars, self.nclauses, self.declared, self.in_backdoor = nvars, nclauses, declared, in_backdoor
+
+    def _cut(self, run, signed):
+        """The integers of `run` and each line's body, or None unless each
+        line ends in its only 0 and the other integers lie in [-nvars, nvars]
+        (`signed`) or [1, nvars]."""
+        nvars = self.nvars
         if nvars is None:
-            raise ParseError("matrix or prefix line before the header", line=lineno)
-        if head in (EXISTS, FORALL):
-            if tractable or covered:
-                raise ParseError("quantifier line after the matrix began", line=lineno)
-            for v in _body(tokens[1:], lineno):
-                if v < 0:
-                    raise ParseError(f"quantified variable must be positive, got {v}", line=lineno)
-                if v > nvars:
-                    raise ParseError(f"variable {v} exceeds the declared count {nvars}", line=lineno)
-                if v in seen:
-                    raise ParseError(f"variable {v} quantified twice", line=lineno)
-                seen.add(v)
-                entries.append((v, head))
-            continue
-        if head == "x":
-            if in_backdoor:
-                raise ParseError("equation after backdoor-begin; covers hold clauses only", line=lineno)
-            lits = _body(tokens[1:], lineno)
-            for l in lits:
-                if abs(l) > nvars:
-                    _out_of_range(lits, nvars, lineno)
-            eq = AffineEquation.from_literals(lits, rhs=1)
-            if not eq.is_trivial:
-                tractable.append(eq)
-                mvars.update(eq.vars)
-            continue
-        lits = _body(tokens, lineno)
-        vs = {*map(abs, lits)}
-        if vs and max(vs) > nvars:
-            _out_of_range(lits, nvars, lineno)
-        c = frozenset(lits)
-        if len(c) != len(vs):  # some variable occurs with both signs
-            try:
-                clause(*lits)
-            except TautologyError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        (covered if in_backdoor else tractable).append(c)
-        mvars |= vs
-    if nvars is None:
-        raise ParseError("missing 'p cnf' header")
-    got = len(tractable) + len(covered)
-    if nclauses != got:
-        warnings.warn(f"header declares {nclauses} matrix lines, found {got}", stacklevel=2)
-    matrix = Matrix(tuple(tractable), tuple(covered))
-    free = sorted(mvars - seen)
-    if free:
-        warnings.warn(
-            "unquantified variable(s) "
-            + " ".join(str(v) for v in free)
-            + " appended to the prefix as innermost existentials",
-            stacklevel=2,
-        )
-        entries.extend((v, EXISTS) for v in free)
-    return QbfFormula(prefix=Prefix(tuple(entries)), matrix=matrix, base_class=declared)
+            return None
+        try:
+            ints = [*map(int, run.split())]
+        except ValueError:  # "-", "--2" and "1-2" pass the character test
+            return None
+        n = run.count("\n")
+        if not (run.count(" 0\n") == n == ints.count(0)
+                and min(ints) >= (-nvars if signed else 0) and max(ints) <= nvars):
+            return None
+        bodies = []
+        i = 0
+        for _ in range(n):
+            j = ints.index(0, i)
+            bodies.append(ints[i:j])
+            i = j + 1
+        return ints, bodies
+
+    def clause_run(self, run):
+        """Take a run of clause lines in bulk, unless one is a tautology."""
+        cut = self._cut(run, signed=True)
+        if cut is None:
+            return False
+        ints, bodies = cut
+        cls = [*map(frozenset, bodies)]
+        if not all(map(frozenset.isdisjoint, cls, map(map, repeat(neg), cls))):
+            return False
+        (self.covered if self.in_backdoor else self.tractable).extend(cls)
+        self.mvars.update(map(abs, ints))
+        self.mvars.discard(0)
+        return True
+
+    def equation_run(self, run):
+        """Take a run of equation lines in bulk, unless it follows
+        backdoor-begin or a line repeats a variable."""
+        cut = None if self.in_backdoor else self._cut(run.replace("x", " "), signed=True)
+        if cut is None:
+            return False
+        ints, bodies = cut
+        sets = [{*map(abs, body)} for body in bodies]  # as from_literals builds them
+        if not all(map(int.__eq__, map(len, sets), map(len, bodies))):
+            return False
+        odd = map((1).__and__, map(str.count, run.split("\n"), repeat("-")))  # negative literals
+        self.tractable += [AffineEquation(frozenset(vs), 1 ^ n) for vs, n in zip(sets, odd)]
+        self.mvars.update(map(abs, ints))
+        self.mvars.discard(0)
+        return True
+
+    def prefix_run(self, run):
+        """Take a run of quantifier lines in bulk, unless the matrix began
+        or a variable is quantified twice."""
+        if self.tractable or self.covered:
+            return False
+        cut = self._cut(run.replace("e", " ").replace("a", " "), signed=False)
+        if cut is None:
+            return False
+        ints, bodies = cut
+        vs = [*filter(None, ints)]
+        new = {*vs}
+        if len(new) != len(vs) or not self.seen.isdisjoint(new):
+            return False
+        for line, body in zip(run.splitlines(), bodies):
+            self.entries.extend(zip(body, repeat(line[0])))
+        self.seen |= new
+        return True
+
+    def formula(self) -> QbfFormula:
+        if self.nvars is None:
+            raise ParseError("missing 'p cnf' header")
+        got = len(self.tractable) + len(self.covered)
+        if self.nclauses != got:
+            warnings.warn(f"header declares {self.nclauses} matrix lines, found {got}", stacklevel=3)
+        matrix = Matrix(tuple(self.tractable), tuple(self.covered))
+        entries = self.entries
+        free = sorted(self.mvars - self.seen)
+        if free:
+            warnings.warn(
+                "unquantified variable(s) "
+                + " ".join(str(v) for v in free)
+                + " appended to the prefix as innermost existentials",
+                stacklevel=3,
+            )
+            entries.extend((v, EXISTS) for v in free)
+        # every entry passed the per-line or the bulk checks, which are Prefix's
+        return QbfFormula(prefix=Prefix._kept(tuple(entries)), matrix=matrix, base_class=self.declared)
 
 
 def _clause_line(c) -> str:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qbd.errors import DomainError, TautologyError
+from qbd.errors import ClassError, DomainError, TautologyError
 from qbd.formula import (
     AffineEquation,
     EXISTS,
@@ -169,6 +169,22 @@ class TestApplyAssignment:
     def test_one_point_zero_and_true_are_values(self):
         f = running_example()
         assert apply_assignment(f, {1: 1.0, 2: True}) == apply_assignment(f, {1: 1, 2: 1})
+
+    def test_one_point_zero_and_true_are_values_in_an_equation(self):
+        # x1 + x2 + x3 = 1: the parity takes each value's truth, as clauses do
+        f = QbfFormula(Prefix.from_string("e1 e2 e3"), Matrix((AffineEquation(frozenset({1, 2, 3}), 1),), ()))
+        for one in (1.0, True):
+            assert apply_assignment(f, {1: one, 2: 0}) == apply_assignment(f, {1: 1, 2: 0})
+            assert apply_assignment(f, {1: one, 2: one}).matrix.tractable == (AffineEquation(frozenset({3}), 1),)
+            assert eval_atom(f.matrix.tractable[0], {1: one, 2: 0, 3: 0})
+            assert not eval_atom(f.matrix.tractable[0], {1: one, 2: one, 3: 0})
+
+    def test_an_equation_in_the_covered_part_is_a_class_error(self):
+        eq = AffineEquation(frozenset({1, 2}), 1)
+        f = QbfFormula(Prefix.from_string("e1 e2"), Matrix((clause(1),), (clause(-1, 2), eq)))
+        for tau in ({}, {1: 1}, {2: 0}):
+            with pytest.raises(ClassError, match="^the covered part holds clauses only$"):
+                apply_assignment(f, tau)
 
 
 def test_eval_atom_and_matrix():

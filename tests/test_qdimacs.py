@@ -1,13 +1,13 @@
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from qbd.algebra import Relation
 from qbd.backdoor import BaseClass, detect_cc_backdoor
 from qbd.errors import ParseError
 from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, canonical, clause
-from qbd.qdimacs import parse_qdimacs, parse_relations, write_qdimacs, write_relations
+from qbd.qdimacs import _Reader, parse_qdimacs, parse_relations, write_qdimacs, write_relations
 from helpers import RUNNING_EXAMPLE_TEXT, running_example
 from strategies import PROPERTY, formulas
 
@@ -36,6 +36,99 @@ def test_round_trip_preserves_everything():
 def test_write_then_parse_is_the_identity_up_to_atom_order(f):
     # equations, covered and empty clauses, a shuffled prefix, an optional declared class
     assert canonical(parse_qdimacs(write_qdimacs(f))) == canonical(f)
+
+
+# Ways to spell a token: some keep its value through int() ("+3", "1_0",
+# Arabic-Indic digits), some pass the bulk character test but are no integer
+# ("-", "--2", "1-2"), some are a 0 in another spelling or out of range.
+RESPELL = (
+    lambda t: "+" + t,
+    lambda t: t[:-1] + "_" + t[-1],
+    lambda t: t.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")),
+    lambda t: "-",
+    lambda t: "--2",
+    lambda t: "1-2",
+    lambda t: "00",
+    lambda t: "-0",
+    lambda t: "0",
+    lambda t: "7",
+)
+
+
+@st.composite
+def layouts(draw):
+    """write_qdimacs text with its layout perturbed: tabs, trailing blanks,
+    "\r" line ends, blank, comment and lone-0 lines inserted anywhere, and
+    tokens spelled another way; CRLF throughout, and the final newline kept
+    or dropped."""
+    lines = write_qdimacs(draw(formulas())).splitlines()
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(("tab", "blank", "cr", "insert", "respell")))
+        if edit == "insert" or i == len(lines):
+            lines.insert(i, draw(st.sampled_from(("", " ", "\t", "c note", "0"))))
+        elif edit == "tab":
+            lines[i] = lines[i].replace(" ", draw(st.sampled_from(("\t", " \t"))), 1)
+        elif edit == "blank":
+            lines[i] += draw(st.sampled_from((" ", "  ", "\t")))
+        elif edit == "cr":
+            lines[i] += "\r"
+        else:
+            toks = lines[i].split()
+            j = draw(st.integers(0, len(toks) - 1)) if toks else None
+            if j is not None:
+                toks[j] = draw(st.sampled_from(RESPELL))(toks[j])
+                lines[i] = " ".join(toks)
+    newline = draw(st.sampled_from(("\n", "\n", "\n", "\r\n")))  # CRLF leaves no run
+    return newline.join(lines) + draw(st.sampled_from((newline, "")))
+
+
+def by_line(text):
+    """The per-line loop over the whole text: the fallback of every run."""
+    reader = _Reader()
+    reader.lines(text.splitlines(), 1)
+    return reader.formula()
+
+
+def outcome(parse, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            f = parse(text)
+            out = (f, [[*getattr(a, "vars", a)] for a in f.matrix.atoms()], f.prefix._pos)  # set order too
+        except Exception as exc:
+            out = (type(exc), str(exc), getattr(exc, "line", None))
+    return out, [str(w.message) for w in caught]
+
+
+@PROPERTY
+@given(layouts())
+def test_runs_parse_as_the_per_line_loop_does(text):
+    assert outcome(parse_qdimacs, text) == outcome(by_line, text)
+
+
+@pytest.mark.parametrize("text", [
+    "p cnf 3 2\ne 1 2 3 0\n1 +2 0\n1_0 0\n",
+    "p cnf 3 2\ne 1 2 3 0\n1 -2 0\n\u0663 0\n",
+    "p cnf 3 2\re 1 2 3 0\r\n1\t-2 0 \n0\n",
+    "p cnf 3 2\ne 1 2 3 0\n1 -2 0\n1 2 -0\n2 00\n",
+    "p cnf 3 2\ne 1 2 3 0\n1 -2 0\n-2 3 2 0\n",
+    "p cnf 3 2\ne 1 2 0\na 3 1 0\n1 -2 0\n",
+    "p cnf 3 2\ne 1 2 0\na 3 -1 0\n1 -2 0\n",
+    "p cnf 3 1\ne 1 2 0\n1 -2 0\na 3 0\n",
+    "e 1 2 0\np cnf 3 1\n1 -2 0\n",
+    "p cnf 3 1\ne 1 2 0\n1 0 -2 0\n",
+    "p cnf 3 1\ne 1 2 0\n1 -2 0\n1 --2 0\n",
+    "p cnf 3 2\ne 1 2 3 0\n1 0 2 0\n3\n",  # as many zeros as lines, not one per line
+    "p cnf 3 1\ne 1 0 2 0\na 3\n1 0\n",
+    "p cnf 3 1\ne 1 2 0\nc two runs\na 2 3 0\n1 0\n",
+    "p cnf 3 2\ne 1 2 3 0\nx 1 -2 0\nx 1 1 3 0\nx 2 -2 0\n",
+    "p cnf 3 2\ne 1 2 3 0\nc backdoor-begin\n1 2 0\nx 1 2 0\n",
+    # 1, 9, 17, 25 and 33 share a hash slot, so set order shows insertion order
+    "p cnf 40 3\ne 1 9 17 25 33 0\nx 33 -17 9 1 0\n25 -9 17 33 0\n-1 -33 0\n",
+])
+def test_runs_at_the_edge_of_the_bulk_checks_parse_as_the_per_line_loop_does(text):
+    assert outcome(parse_qdimacs, text) == outcome(by_line, text)
 
 
 def test_equation_lines_round_trip():

@@ -23,6 +23,11 @@ input below. The sections:
                 a non-integer token, out-of-range variables, a stray 0, a
                 missing terminator, a tautology, both of the last two, a
                 variable quantified twice, a negative quantified variable
+  layout        parse_qdimacs on every pool text rewritten in one of the
+                layouts a reader meets: tabs, CRLF line ends, trailing
+                blanks, blank lines, comment lines inside a run, no final
+                newline, a lone 0 (an empty clause), and literals written
+                as +3, 1_0 or in Arabic-Indic digits
   prefix        Prefix (entries and positions, or the error) on random
                 entry lists with bools, 0, negatives, duplicates, bad
                 quantifiers, unhashable items and malformed entries, and
@@ -336,6 +341,58 @@ def parse_section(seed):
     return sec
 
 
+LAYOUTS = ("tabs", "crlf", "trailing-blanks", "blank-lines", "comments", "no-final-newline",
+           "empty-clause", "plus", "underscore", "arabic-indic")
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+
+
+def relayout(rng, text, kind):
+    """`text` with its layout changed the way `kind` says, at a few random
+    lines; every kind but empty-clause keeps the formula the text states."""
+    lines = text.splitlines()
+    some = rng.sample(range(len(lines)), min(len(lines), rng.randint(1, 6)))
+    if kind == "no-final-newline":
+        return text.rstrip("\n")
+    if kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    if kind in ("blank-lines", "comments", "empty-clause"):
+        extra = {"blank-lines": rng.choice(("", " ", "\t")), "comments": "c note 1 0",
+                 "empty-clause": "0"}[kind]
+        body = [i for i, line in enumerate(lines) if not line.startswith(("c", "p"))]
+        for i in sorted(rng.sample(body, min(len(body), rng.randint(1, 3))), reverse=True):
+            lines.insert(i, extra)
+        return "\n".join(lines) + "\n"
+    for i in some:
+        toks = lines[i].split()
+        if kind == "tabs":
+            lines[i] = "".join(t + rng.choice((" ", "\t", " \t")) for t in toks).rstrip(" \t")
+        elif kind == "trailing-blanks":
+            lines[i] += rng.choice((" ", "  ", "\t"))
+        elif toks[0] not in ("c", "p"):  # a literal or a variable, spelled another way
+            j = rng.randrange(toks[0] in ("e", "a", "x"), len(toks))
+            tok = toks[j]
+            if kind == "plus" and not tok.startswith("-"):
+                tok = "+" + tok
+            elif kind == "underscore" and len(tok.lstrip("-")) > 1:
+                tok = tok[:-1] + "_" + tok[-1]
+            elif kind == "arabic-indic":
+                tok = tok.translate(ARABIC_INDIC)
+            toks[j] = tok
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def layout_section(seed):
+    sec = Section("layout")
+    rng = random.Random(f"layout:{seed}")
+    for family, count in gen.POOL.items():
+        for i in range(count):
+            text = gen.instance(family, seed, i).text
+            for kind in LAYOUTS:
+                sec.add((family, i, kind, outcome(parse_qdimacs, relayout(rng, text, kind), show=formula)))
+    return sec
+
+
 class Small(int):
     """An int subclass, which Prefix takes as a variable."""
 
@@ -437,7 +494,7 @@ def main(argv) -> int:
     texts = list(pools(seed))
     for sec in (dispatch_section(seed, texts), rank_section(seed, texts),
                 affsystem_section(seed, texts), pivot_elim_section(seed),
-                parse_section(seed), prefix_section(seed), engines_section(seed),
+                parse_section(seed), layout_section(seed), prefix_section(seed), engines_section(seed),
                 apply_section(seed)):
         print(sec.line(), flush=True)
     return 0
