@@ -12,6 +12,8 @@ The row work runs on packed rows, as in dense GF(2) elimination: a row is
 (mask, rhs) with bit p for prefix position p, so the innermost variable is
 the top bit and adding rows is an XOR. An AffSystem packs its rows once,
 beside its AffineEquation rows; pivot, elim and kernelize start from those.
+kernelize keeps a mask of the bits two or more rows hold, so it drops a row
+whose innermost bit no other row holds without scanning the rows.
 
 The kernel, taken against a set X of covered variables, rewrites the
 system (truth-preservingly, never touching the covered clauses) until
@@ -120,6 +122,14 @@ def _eliminate(rows: list, p: int, i: int):
     return first
 
 
+def _twice(masks) -> int:
+    """The bits that two or more of `masks` hold."""
+    once = twice = 0
+    for m in masks:
+        once, twice = once | m, twice | once & m
+    return twice
+
+
 def _checked_rows(system: AffSystem, x: int, i: int):
     if not 0 <= i < len(system.rows):
         raise IndexError(f"equation index {i} out of range")
@@ -189,6 +199,9 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
     barf_on_bottom()
     i = 0  # rows before i have a covered, existential innermost variable
     while True:
+        # The bits two or more rows hold, rebuilt after each pivot that changed rows
+        # (an XOR adds bits). A deletion leaves a superset: one more scan, no skip.
+        twice = _twice(m for m, _ in rows)
         while i < len(rows):
             p = rows[i][0].bit_length() - 1
             if entries[p][1] != EXISTS:
@@ -198,10 +211,14 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
             if covered >> p & 1:
                 i += 1
                 continue
+            if not twice >> p & 1:  # row i alone holds p: all _eliminate would do
+                del rows[i]
+                continue
             first = _eliminate(rows, p, i)
             if first is not None:
                 barf_on_bottom()
                 i = min(i, first)
+                twice = _twice(m for m, _ in rows)
         holders = {}
         for j, (m, _) in enumerate(rows):
             holders.setdefault(m.bit_length() - 1, []).append(j)
@@ -215,10 +232,7 @@ def kernelize(system: AffSystem, cover) -> KernelResult:
     while True:
         outside = [m & ~covered for m, _ in rows]
         deep = [u.bit_length() - 1 for u in outside]
-        once = twice = 0
-        for u in outside:
-            twice |= once & u
-            once |= u
+        twice = _twice(outside)
         wide = [j for j, u in enumerate(outside) if u.bit_count() > 1]
         lone = [j for j in wide if not twice >> deep[j] & 1]
         for j in lone:  # deep[j] is in row j alone, so the row stays unique

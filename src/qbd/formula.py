@@ -312,20 +312,24 @@ def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
     )
 
 
+def _value(tau: Assignment, v: int) -> int:
+    """tau[v] as 0 or 1; a missing variable or another value is an error."""
+    if v not in tau:
+        raise DomainError(f"variable {v} unassigned")
+    if tau[v] not in (0, 1):
+        raise DomainError(f"assignment value for {v} must be 0 or 1")
+    return 1 if tau[v] else 0
+
+
 def eval_atom(atom: Atom, tau: Assignment) -> bool:
     """Truth of one atom under a total (for its variables) assignment."""
     if isinstance(atom, AffineEquation):
         parity = 0
         for v in atom.vars:
-            if v not in tau:
-                raise DomainError(f"variable {v} unassigned")
-            parity ^= 1 if tau[v] else 0
+            parity ^= _value(tau, v)
         return parity == atom.rhs
     for l in atom:
-        v = abs(l)
-        if v not in tau:
-            raise DomainError(f"variable {v} unassigned")
-        if tau[v] == (1 if l > 0 else 0):
+        if _value(tau, abs(l)) == (l > 0):
             return True
     return False
 

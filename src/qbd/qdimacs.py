@@ -36,14 +36,17 @@ from .formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula,
 
 
 def _ints(tokens, lineno):
-    try:
-        return [*map(int, tokens)]
-    except ValueError:  # name the first token that is not an integer
-        for tok in tokens:
-            try:
-                int(tok)
-            except ValueError:
-                raise ParseError(f"expected an integer, got {tok!r}", line=lineno) from None
+    """The tokens as integers, each an optional "-" and ASCII digits: int()
+    alone would also take "+3", "1_0" and Arabic-Indic digits."""
+    joined = "".join(tokens)
+    if joined.isascii() and "+" not in joined and "_" not in joined:
+        try:
+            return [*map(int, tokens)]
+        except ValueError:
+            pass
+    for tok in tokens:  # name the first token that is not an integer
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise ParseError(f"expected an integer, got {tok!r}", line=lineno)
 
 
 def _body(tokens, lineno):

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbd import affine
 from qbd.affine import AffSystem, elim, eval_qaff, kernelize, pivot, solve_aff
 from qbd.errors import (
     ClassError,
@@ -218,6 +219,31 @@ class TestKernelize:
         assert kr.reduced_prefix.to_string() == "e1 e2"
         assert kr.reduced_system.rows == (eq(0, 1, 2),)
         assert kr.forced == ((2, eq(0, 1, 2)),)
+
+    def test_rows_whose_innermost_bit_is_their_own_go_without_a_pivot(self, monkeypatch):
+        # the parity-kernel shape: x4, x5 and x7 are each in one row only, so
+        # their rows are dropped with no row scan; x6 is covered and stays
+        calls = []
+        real = affine._pivot
+        monkeypatch.setattr(affine, "_pivot", lambda *a: calls.append(a) or real(*a))
+        s = system("e1 a2 e3 e4 e5 e6 e7", eq(1, 1, 3, 6), eq(0, 2, 3, 5), eq(1, 1, 2, 7), eq(0, 2, 4))
+        kr = kernelize(s, {1, 3, 6})
+        assert calls == []
+        assert kr.reduced_prefix.to_string() == "e1 e3 e6"
+        assert kr.reduced_system.rows == (eq(1, 1, 3, 6),)
+        assert kr.forced == ((6, eq(1, 1, 3, 6)),)
+
+    def test_a_pivot_that_shares_a_bit_one_row_held(self):
+        # eliminating x3 XORs x2+x3=0 into x3=0 and x1+x3=1, so x2, until then
+        # in row 0 alone, sits in two rows: x2=0 must go into x1+x2=1
+        s = system("e1 e2 e3", eq(0, 2, 3), eq(0, 3), eq(1, 1, 3))
+        kr = kernelize(s, {1})
+        assert kr.reduced_prefix.to_string() == "e1"
+        assert kr.reduced_system.rows == (eq(1, 1),)
+        assert kr.forced == ((1, eq(1, 1)),)
+        # the same with x3=1 in place of x1+x3=1: x2=0 and x2=1 contradict
+        with pytest.raises(PreconditionError, match="contradictory"):
+            kernelize(system("e1 e2 e3", eq(0, 2, 3), eq(0, 3), eq(1, 3)), set())
 
     def test_a_prefix_wider_than_a_machine_word(self):
         # covered x1 and x200 sit at positions 0 and 199. Eliminating x160

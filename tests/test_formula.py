@@ -199,6 +199,19 @@ def test_eval_atom_and_matrix():
     assert not eval_matrix(f.matrix, {1: 0, 2: 0, 3: 1, 4: 1, 5: 1})
 
 
+def test_eval_atom_refuses_values_other_than_0_and_1():
+    # {1: 2} once made x1 and -x1 both false and x1 = 1 true
+    for atom in (clause(1), clause(-1), AffineEquation(frozenset({1}), 1)):
+        for bad in (2, -1, None, "1", [1]):
+            with pytest.raises(DomainError, match="^assignment value for 1 must be 0 or 1$"):
+                eval_atom(atom, {1: bad})
+    for one in (1.0, True):  # compared by ==, as apply_assignment does
+        assert eval_atom(clause(1), {1: one})
+        assert not eval_atom(clause(-1), {1: one})
+    with pytest.raises(DomainError, match="assignment value for 4"):
+        eval_matrix(running_example().matrix, {1: 0, 2: 0, 3: 1, 4: 2, 5: 1})
+
+
 class TestValidate:
     def test_clean_formula_has_no_violations(self):
         assert validate(running_example()) == []

@@ -205,6 +205,13 @@ def test_count_mismatch_warns():
         ("p cnf 2 1\ne 1 2 0\n1 3 -5 0\n", "variable 3 exceeds", 3),
         ("p cnf 2 1\ne 1 y 0\n1 0\n", "'y'", 2),
         ("p cnf 2 1\ne 1 2 2 0\n1 0\n", "variable 2 quantified twice", 2),
+        # int() takes these, the dialect does not
+        ("p cnf 3 1\ne 1 2 3 0\n1 +3 0\n", "expected an integer, got '+3'", 3),
+        ("p cnf 10 1\ne 1 0\n1_0 0\n", "expected an integer, got '1_0'", 3),
+        ("p cnf 3 1\ne 1 \u0663 0\n1 0\n", "expected an integer, got '\u0663'", 2),
+        ("p cnf 3 1\ne 1 2 3 0\nx -1 +2 0\n", "expected an integer, got '+2'", 3),
+        ("p cnf +3 1\n", "expected an integer, got '+3'", 1),
+        ("p cnf 3 1_0\n", "expected an integer, got '1_0'", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):
