@@ -13,10 +13,11 @@ preserves the game value and swaps each class with its mirror image.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .backdoor import BaseClass
+from .backdoor import BaseClass, _show
 from .errors import CapError, ClassError, GraphError, ParamError, ParseError
 from .formula import (
     EXISTS,
@@ -176,7 +177,7 @@ def horn_to_3horn(formula: QbfFormula) -> QbfFormula:
     horn = BaseClass("horn")
     for atom in formula.matrix.tractable:
         if not horn.contains(atom):
-            raise ClassError(f"uncovered atom {atom!r} is not Horn")
+            raise ClassError(f"uncovered atom {_show(atom)} is not Horn")
     used = set(formula.prefix.variables()) | {abs(l) for a in formula.matrix.atoms() for l in a}
     next_id = max(used, default=0) + 1
     entries = list(formula.prefix.entries)
@@ -304,6 +305,10 @@ def gen_random(params: GenParams, seed: int) -> QbfFormula:
         raise ParamError(f"need 0 <= k <= n, got n={params.n} k={params.k}")
     if params.tractable_density < 0 or params.backdoor_density < 0:
         raise ParamError("densities must be nonnegative")
+    n_tract = params.tractable_density * params.n
+    n_back = params.backdoor_density * params.k
+    if not (math.isfinite(n_tract) and math.isfinite(n_back)):
+        raise ParamError(f"densities must give finite atom counts, got {n_tract} uncovered and {n_back} covered")
     if params.prefix_pattern is not None and (
         not params.prefix_pattern or set(params.prefix_pattern) - {EXISTS, FORALL}
     ):
@@ -318,14 +323,12 @@ def gen_random(params: GenParams, seed: int) -> QbfFormula:
             q = rng.choice((EXISTS, FORALL))
         entries.append((i + 1, q))
     cover = sorted(rng.sample(range(1, params.n + 1), params.k))
-    n_tract = round(params.tractable_density * params.n)
-    n_back = round(params.backdoor_density * params.k) if params.k else 0
     tract = []
     if params.n:
-        for _ in range(n_tract):
+        for _ in range(round(n_tract)):
             tract.append(_gen_atom(rng, bc, params.n))
     back = []
-    for _ in range(n_back):
+    for _ in range(round(n_back)):
         w = rng.randint(1, min(len(cover), 4))
         vs = rng.sample(cover, w)
         back.append(frozenset(v if rng.random() < 0.5 else -v for v in vs))

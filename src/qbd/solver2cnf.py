@@ -18,10 +18,11 @@ decided directly.
 `solve` runs this search on one implication graph of the width-2 part,
 built once per solve: assignments go on a trail and are undone on
 backtracking, a look-ahead is one depth-first search from the pivot
-literal, and the truth of the width-2 game is the strongly connected
-components test of Aspvall, Plass and Tarjan (1979). `step` decides a
-single node from the propagation closures of `twocnf` instead. It is the
-reference: `solve` makes exactly the decisions that `step` makes.
+literal, and the width-2 game at the root is decided by the conditions of
+Aspvall, Plass and Tarjan (1979), read off the sets that such searches
+reach from the universal literals. `step` decides a single node from the
+propagation closures of `twocnf` instead. It is the reference: `solve`
+makes exactly the decisions that `step` makes.
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ class _Search:
     path between universals and no universal that shares a strongly
     connected component with an outer existential, every descendant's
     holds none either. So the root's game is decided once, by the exact
-    `_game_true`: a false one makes the formula false (the covered clauses
-    only add constraints), and below a true one `_look` decides every arm.
+    `_game_true` on the reach sets of the universal literals: a false one
+    makes the formula false (the covered clauses only add constraints), and
+    below a true one `_look` decides every arm.
     """
 
     def __init__(self, formula: QbfFormula):
@@ -262,72 +264,26 @@ class _Search:
         return new
 
     def _game_true(self) -> bool:
-        """The strongly connected components test of the root's width-2
-        game, on the graph without the derivable units. It is false exactly
-        when a path joins two universal literals or a component holds a
-        universal literal and an existential one quantified before it. The
-        derivable units and a contradiction are the caller's to check.
-        Iterative Tarjan: a component is completed only after every
-        component it reaches, so whether it reaches a universal is known
-        from its out-edges."""
-        adj, unit, univ = self.adj, self.unit, self.univ
-        m = len(adj)
-        live = [not unit[l] and not unit[l ^ 1] for l in range(m)]
-        index = [-1] * m
-        low = [0] * m
-        comp = [-1] * m
-        to_univ = []  # per component: it holds or reaches a universal literal
-        stack = []
-        count = 0
-        for root in range(m):
-            if not live[root] or index[root] >= 0 or not adj[root]:
-                continue  # a literal with no out-edge joins no path worth a search
-            index[root] = low[root] = count
-            count += 1
-            stack.append(root)
-            work = [(root, 0)]
-            while work:
-                v, i = work.pop()
-                edges = adj[v]
-                while i < len(edges):
-                    w = edges[i]
-                    i += 1
-                    if not live[w]:
-                        continue
-                    if index[w] < 0:
-                        work.append((v, i))
-                        index[w] = low[w] = count
-                        count += 1
-                        stack.append(w)
-                        work.append((w, 0))
-                        break
-                    if comp[w] < 0 and index[w] < low[v]:
-                        low[v] = index[w]
-                else:
-                    if work and low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
-                    if low[v] < index[v]:
-                        continue
-                    c = len(to_univ)
-                    members = []
-                    while True:
-                        w = stack.pop()
-                        comp[w] = c
-                        members.append(w)
-                        if w == v:
-                            break
-                    universals = [w >> 1 for w in members if univ[w >> 1]]
-                    reaches = any(
-                        live[w] and comp[w] != c and to_univ[comp[w]]
-                        for u in members
-                        for w in adj[u]
-                    )
-                    if universals:
-                        if len(universals) > 1 or reaches:
-                            return False
-                        if any(not univ[w >> 1] and w >> 1 < universals[0] for w in members):
-                            return False
-                    to_univ.append(bool(universals) or reaches)
+        """The test of Aspvall, Plass and Tarjan on the root's width-2 game,
+        read off the reach sets of the universal literals: the game is false
+        when one reaches a complementary pair or another universal literal,
+        or reaches an existential literal t quantified before it while its
+        complement reaches -t. The graph is skew-symmetric, so t then reaches
+        it back: the two share a strongly connected component. A path through
+        a derivable unit, or through the complement of one, would make a
+        universal literal derivable, and `_probe` has refuted the root
+        before this runs, so the derivable units stay in the graph."""
+        adj, univ = self.adj, self.univ
+        for i, u in enumerate(univ):
+            if not u:
+                continue
+            r = (_reach(adj, 2 * i), _reach(adj, 2 * i + 1))
+            if None in r:
+                return False
+            for b in (0, 1):
+                for t in r[b]:
+                    if t >> 1 != i and (univ[t >> 1] or t >> 1 < i and t ^ 1 in r[1 - b]):
+                        return False
         return True
 
     def _arms(self, cursor: int, cover: set):

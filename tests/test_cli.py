@@ -283,6 +283,13 @@ class TestGenerate:
         assert len(f.prefix) == 6
         assert f.base_class.tag == "2cnf"
 
+    def test_non_finite_density_is_one_error_line(self, capsys):
+        args = ["generate", "random", "--n", "3", "--k", "1", "--seed", "1", "--tractable-density", "nan"]
+        assert cli.run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qbd: densities must give finite atom counts, got nan uncovered and 1.0 covered\n"
+
     def test_mis_horn(self, tmp_path, capsys):
         g = tmp_path / "graph.txt"
         g.write_text(GRAPH_TEXT)
@@ -316,6 +323,12 @@ class TestTransform:
         f = parse_qdimacs(capsys.readouterr().out)
         assert f.base_class.tag == "3horn"
         assert all(len(c) <= 3 for c in f.matrix.tractable)
+
+    def test_to_3horn_names_a_non_horn_atom(self, tmp_path, capsys):
+        p = tmp_path / "two.qdimacs"
+        p.write_text("p cnf 2 1\ne 1 2 0\n1 2 0\n")
+        assert cli.run(["transform", str(p), "--to-3horn"]) == 1
+        assert capsys.readouterr().err == "qbd: uncovered atom (1 2) is not Horn\n"
 
     def test_modes_are_exclusive(self, example):
         with pytest.raises(SystemExit) as ei:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -158,8 +159,9 @@ class TestHornTo3Horn:
 
     def test_rejects_non_horn(self):
         f = QbfFormula(Prefix.from_string("e1 e2"), Matrix((clause(1, 2),), ()))
-        with pytest.raises(ClassError, match="not Horn"):
+        with pytest.raises(ClassError) as ei:
             horn_to_3horn(f)
+        assert str(ei.value) == "uncovered atom (1 2) is not Horn"
 
     def test_truth_and_width_preserved(self):
         rng = random.Random(52)
@@ -227,6 +229,10 @@ class TestGenRandom:
             gen_random(GenParams(n=2, k=3), 0)
         with pytest.raises(ParamError, match="nonnegative"):
             gen_random(GenParams(n=2, k=1, tractable_density=-1), 0)
+        for n, k, dt, db in ((3, 1, math.nan, 1.0), (3, 1, math.inf, 1.0), (3, 1, 1.5, math.nan),
+                             (2, 2, 1.5, 1e308), (3, 0, 1.5, math.inf)):
+            with pytest.raises(ParamError, match="finite atom counts"):
+                gen_random(GenParams(n=n, k=k, tractable_density=dt, backdoor_density=db), 1)
         with pytest.raises(ParamError, match="'e'/'a'"):
             gen_random(GenParams(n=2, k=1, prefix_pattern="eq"), 0)
         with pytest.raises(UnknownTag):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from qbd.errors import ClassError, DomainError
-from qbd.formula import Matrix, Prefix, QbfFormula, apply_assignment, clause
+from qbd.formula import EXISTS, FORALL, Matrix, Prefix, QbfFormula, apply_assignment, clause
 from qbd.oracle import eval_bruteforce
 from qbd.solver2cnf import ACCEPT, BRANCH, FOLLOW, REJECT, SolveStats, solve, step
 from qbd.twocnf import eval_q2cnf, prop
@@ -176,8 +176,8 @@ class TestAgainstTheClosures:
             assert value == eval_bruteforce(f), f
             unclean_roots += structurally_false(f)
             branching += stats.branch_nodes > 0
-        # the search settles such roots false with one strongly connected
-        # components test (112 of these 3000)
+        # the search settles such roots false from the reach sets of the
+        # universal literals (112 of these 3000)
         assert unclean_roots > 50
         assert branching > 300
 
@@ -204,3 +204,58 @@ class TestAgainstTheClosures:
                 if solve(QbfFormula(pf, matrix))[0] != eval_q2cnf(pf, closure):
                     wrong.append((pf.to_string(), matrix.tractable))
         assert not wrong, wrong[:5]
+
+    def test_game_truth_matches_eval_q2cnf_on_random_games(self):
+        """Games with 4 to 9 variables, at least two of them universal,
+        clauses of width 0 to 2 and no covered clause."""
+        rng = random.Random(14)
+        wrong = []
+        unclean_roots = 0
+        for _ in range(3000):
+            n = rng.randint(4, 9)
+            order = rng.sample(range(1, n + 1), n)
+            univ = set(rng.sample(order, rng.randint(2, n)))
+            prefix = Prefix(tuple((v, FORALL if v in univ else EXISTS) for v in order))
+            clauses = []
+            for _ in range(rng.randint(0, n + 2)):
+                vs = rng.sample(range(1, n + 1), rng.choice((1, 2, 2, 2)))
+                clauses.append(frozenset(v if rng.random() < 0.5 else -v for v in vs))
+            if rng.random() < 0.02:
+                clauses.append(clause())
+            f = QbfFormula(prefix, Matrix(tuple(clauses), ()))
+            if solve(f)[0] != eval_q2cnf(prefix, prop(clauses)):
+                wrong.append((prefix.to_string(), clauses))
+            unclean_roots += structurally_false(f)
+        assert not wrong, wrong[:5]
+        assert unclean_roots > 300
+
+
+def chain(vs):
+    """The clauses of the implications vs[0] -> vs[1] -> ... -> vs[-1]."""
+    return [clause(-a, b) for a, b in zip(vs, vs[1:])]
+
+
+class TestDeepRootGames:
+    """Width-2 games over 500 variables whose derivable units are none, so
+    the reach sets of the universal literals alone decide the root."""
+
+    N = 500
+    INNER = tuple((v, EXISTS) for v in range(3, N + 1))
+    CYCLE = Matrix(tuple(chain([1, *range(3, N + 1), 2, 1])), ())
+
+    def test_cycle_through_a_universal_and_an_outer_existential_is_false(self):
+        # x1 <-> x2 along the cycle, and x1 is chosen before the opponent's x2
+        f = QbfFormula(Prefix(((1, EXISTS), (2, FORALL)) + self.INNER), self.CYCLE)
+        assert structurally_false(f)
+        assert solve(f) == (False, SolveStats(leaves=1))
+
+    def test_cycle_through_a_universal_and_an_inner_existential_is_true(self):
+        f = QbfFormula(Prefix(((2, FORALL), (1, EXISTS)) + self.INNER), self.CYCLE)
+        assert solve(f) == (True, SolveStats(leaves=1))
+
+    def test_fan_whose_chain_implies_another_universal_is_false(self):
+        # x1 -> x3 ... x1 -> x12, then x12 -> ... -> x500 -> x2
+        fan = [clause(-1, v) for v in range(3, 13)] + chain([*range(12, self.N + 1), 2])
+        f = QbfFormula(Prefix(((1, FORALL),) + self.INNER + ((2, FORALL),)), Matrix(tuple(fan), ()))
+        assert structurally_false(f)
+        assert solve(f) == (False, SolveStats(leaves=1))

@@ -41,6 +41,13 @@ input below. The sections:
                 error) on random formulas and assignments, some with unknown
                 variables or values other than 0 and 1: 2, -1, None, "1",
                 1.0, True and an unhashable list
+  game2cnf      solver2cnf.solve (value and SolveStats, or the error) on
+                random 2-CNF games with 8 to 14 variables, at least three
+                of them universal, with and without a covered part, and on
+                deep chain shapes: a cycle through a universal and an
+                existential quantified before it or after it, and a fan
+                whose long chain ends in a clause that implies another
+                universal, or in none
 
 Each line reads `section sha256 items`. Random inputs are drawn from a
 random.Random seeded with the section name and SEED.
@@ -486,6 +493,57 @@ def apply_section(seed):
     return sec
 
 
+def random_game(rng, covered):
+    """A width-2 game: 8 to 14 variables, 3 to n/2 of them universal,
+    clauses of width 0 (rarely) to 2 and, if `covered`, one to four
+    covered clauses of width 1 to 4."""
+    n = rng.randint(8, 14)
+    order = rng.sample(range(1, n + 1), n)
+    univ = set(rng.sample(order, rng.randint(3, n // 2)))
+    prefix = Prefix(tuple((v, FORALL if v in univ else EXISTS) for v in order))
+
+    def lits(w):
+        return frozenset(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), w))
+
+    tractable = [lits(rng.choice((1, 2, 2, 2))) for _ in range(rng.randint(0, n))]
+    if rng.random() < 0.02:
+        tractable.append(frozenset())
+    back = [lits(rng.randint(1, 4)) for _ in range(rng.randint(1, 4) if covered else 0)]
+    return QbfFormula(prefix, Matrix(tuple(tractable), tuple(back)))
+
+
+def chain(vs):
+    """The clauses of the implications vs[0] -> vs[1] -> ... -> vs[-1]."""
+    return [frozenset((-a, b)) for a, b in zip(vs, vs[1:])]
+
+
+def deep_games(n):
+    """(name, formula) for the deep shapes over n variables, universals 1
+    and 2 (cycle: 2 alone). The cycle runs 1 -> 3 -> ... -> n -> 2 -> 1; the
+    fan is 1 -> 3 ... 1 -> 12, then the chain 12 -> ... -> n, ending in
+    n -> 2 or not."""
+    inner = tuple((v, EXISTS) for v in range(3, n + 1))
+    cycle = Matrix(tuple(chain([1] + list(range(3, n + 1)) + [2, 1])), ())
+    fan = [frozenset((-1, v)) for v in range(3, 13)] + chain(list(range(12, n + 1)))
+    fan_prefix = Prefix(((1, FORALL),) + inner + ((2, FORALL),))
+    yield "cycle-outer", QbfFormula(Prefix(((1, EXISTS), (2, FORALL)) + inner), cycle)
+    yield "cycle-inner", QbfFormula(Prefix(((2, FORALL), (1, EXISTS)) + inner), cycle)
+    yield "fan", QbfFormula(fan_prefix, Matrix(tuple(fan + chain([n, 2])), ()))
+    yield "fan-open", QbfFormula(fan_prefix, Matrix(tuple(fan), ()))
+
+
+def game2cnf_section(seed):
+    sec = Section("game2cnf")
+    rng = random.Random(f"game2cnf:{seed}")
+    for _ in range(RANDOM_DRAWS):
+        for covered in (False, True):
+            sec.add(outcome(solve_2cnf, random_game(rng, covered), show=solved))
+    for n in (20, 500):
+        for name, f in deep_games(n):
+            sec.add((name, n, outcome(solve_2cnf, f, show=solved)))
+    return sec
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
         print("usage: python3 tools/digest.py SEED", file=sys.stderr)
@@ -495,7 +553,7 @@ def main(argv) -> int:
     for sec in (dispatch_section(seed, texts), rank_section(seed, texts),
                 affsystem_section(seed, texts), pivot_elim_section(seed),
                 parse_section(seed), layout_section(seed), prefix_section(seed), engines_section(seed),
-                apply_section(seed)):
+                apply_section(seed), game2cnf_section(seed)):
         print(sec.line(), flush=True)
     return 0
 
