@@ -95,7 +95,7 @@ def _unpack(prefix: Prefix, rows):
         while m:
             vs.append(prefix.entries[(m & -m).bit_length() - 1][0])
             m &= m - 1
-        yield AffineEquation(frozenset(vs), r)
+        yield AffineEquation._kept(frozenset(vs), r)
 
 
 def _pivot(rows: list, p: int, i: int):

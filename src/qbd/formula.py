@@ -86,6 +86,16 @@ class AffineEquation:
                 seen.add(v)
         return cls(frozenset(seen), parity)
 
+    @staticmethod
+    def _kept(vars: frozenset, rhs: int) -> "AffineEquation":
+        """An equation whose variables and rhs pass every check of
+        __post_init__, such as those the QDIMACS reader bounded or those
+        unpacked from a prefix's variables: built without the checks."""
+        out = object.__new__(AffineEquation)
+        object.__setattr__(out, "vars", vars)
+        object.__setattr__(out, "rhs", rhs)
+        return out
+
     @property
     def is_contradiction(self) -> bool:
         return not self.vars and self.rhs == 1

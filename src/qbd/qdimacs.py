@@ -9,15 +9,16 @@ The dialect extends plain QDIMACS with three things:
   everything after it must be a plain clause.
 
 The reader takes each maximal run of clause lines, of quantifier lines
-and of equation lines as one block: one split, one int conversion, then a
-cut at the zeros. A block is taken only when bulk checks that suffice for
-every line to be valid all hold: only digits, "-", spaces and "\n" after
-the heads; as many lines as " 0\n" ends as zeros; every variable within
-the declared count; no tautology, no variable quantified twice, no
-variable repeated in an equation. Any other block, and every other line,
-goes through the per-line loop, which alone names the first bad line;
-clauses and equations are built from the same literal sequences either
-way.
+and of equation lines as one block: its heads and "\r" before "\n" dropped,
+one json.loads reads each line's literals as a list of ints. A block is
+taken only when bulk checks that suffice for every line to be valid all
+hold: only digits, "-", spaces and line ends after the heads; every line
+ending in " 0\n" and each literal spelt as JSON spells an integer (so no
+"01", "--2" or double space), none of them 0; every variable within the
+declared count; no tautology, no variable quantified twice, no variable
+repeated in an equation. Any other block, and every other line, goes
+through the per-line loop, which alone names the first bad line; clauses
+and equations are built from the same literal sequences either way.
 
 Relation tables use one line per relation: ``name arity : tuples`` with
 comma-separated 0/1 strings, ``#`` starting a comment.
@@ -25,10 +26,11 @@ comma-separated 0/1 strings, ``#`` starting a comment.
 
 from __future__ import annotations
 
+import json
 import re
 import warnings
-from itertools import groupby, repeat
-from operator import neg
+from itertools import chain, groupby, repeat
+from operator import itemgetter, neg
 
 from .backdoor import BaseClass
 from .errors import ParseError, TautologyError, UnknownTag
@@ -67,10 +69,11 @@ def _out_of_range(lits, nvars, lineno):
 
 
 # A maximal run of clause lines, of quantifier lines or of equation lines,
-# each of which starts at column 0, ends in "\n" and holds only digits, "-"
-# and spaces after its head. Any other character (a tab, "\r", "+", "_")
-# ends a run.
-_RUN = re.compile(r"^(?:(?:[-0-9][-0-9 ]*\n)+|(?:[ea] [-0-9 ]*\n)+|(?:x [-0-9 ]*\n)+)", re.M)
+# each of which starts at column 0, ends in "\n" or "\r\n" and holds only
+# digits, "-" and spaces after its head. Any other character (a tab, a lone
+# "\r" or "\r\r\n", "+", "_") ends a run, so inside one "\r" only comes
+# right before "\n" and dropping it keeps every line.
+_RUN = re.compile(r"^(?:(?:[-0-9][-0-9 ]*\r?\n)+|(?:[ea] [-0-9 ]*\r?\n)+|(?:x [-0-9 ]*\r?\n)+)", re.M)
 
 
 def parse_qdimacs(text: str) -> QbfFormula:
@@ -89,7 +92,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
         lineno += len(gap)
         run = m.group()
         take = reader.prefix_run if run[0] in "ea" else reader.equation_run if run[0] == "x" else reader.clause_run
-        if not take(run):
+        if not take(run.replace("\r\n", "\n")):
             reader.lines(run.splitlines(), lineno)
         lineno += run.count("\n")
         end = m.end()
@@ -100,8 +103,9 @@ def parse_qdimacs(text: str) -> QbfFormula:
 class _Reader:
     """The state of one parse. `lines` is the per-line loop, which alone
     names the first bad line. `clause_run`, `equation_run` and `prefix_run`
-    take a run of lines in bulk; when a bulk check fails they change
-    nothing and return False, and the run goes through `lines`."""
+    take a run of lines, with "\n" line ends, in bulk; when a bulk check
+    fails they change nothing and return False, and the run goes through
+    `lines`."""
 
     def __init__(self):
         self.nvars = None
@@ -185,27 +189,23 @@ class _Reader:
             mvars |= vs
         self.nvars, self.nclauses, self.declared, self.in_backdoor = nvars, nclauses, declared, in_backdoor
 
-    def _cut(self, run, signed):
-        """The integers of `run` and each line's body, or None unless each
-        line ends in its only 0 and the other integers lie in [-nvars, nvars]
-        (`signed`) or [1, nvars]."""
+    def _cut(self, body, signed):
+        """Each line's literals, and all of them in one list, or None unless
+        every line of `body` (a run without its heads) ends in " 0\n", its
+        only 0, and the other tokens are integers as JSON spells them, lying
+        in [-nvars, nvars] (`signed`) or [1, nvars]. JSON refuses "01", "-",
+        "--2", "1-2" and the empty token a double space leaves; it reads
+        "-0" as 0."""
         nvars = self.nvars
-        if nvars is None:
+        if nvars is None or body.count(" 0\n") != body.count("\n"):
             return None
-        try:
-            ints = [*map(int, run.split())]
-        except ValueError:  # "-", "--2" and "1-2" pass the character test
+        try:  # "1 -2 0\n3 0\n" reads as [[1,-2],[3]]
+            bodies = json.loads("[[" + body[:-3].replace(" 0\n", "],[").replace(" ", ",") + "]]")
+        except ValueError:
             return None
-        n = run.count("\n")
-        if not (run.count(" 0\n") == n == ints.count(0)
-                and min(ints) >= (-nvars if signed else 0) and max(ints) <= nvars):
+        ints = [*chain.from_iterable(bodies)]
+        if not ints or 0 in ints or min(ints) < (-nvars if signed else 1) or max(ints) > nvars:
             return None
-        bodies = []
-        i = 0
-        for _ in range(n):
-            j = ints.index(0, i)
-            bodies.append(ints[i:j])
-            i = j + 1
         return ints, bodies
 
     def clause_run(self, run):
@@ -219,13 +219,12 @@ class _Reader:
             return False
         (self.covered if self.in_backdoor else self.tractable).extend(cls)
         self.mvars.update(map(abs, ints))
-        self.mvars.discard(0)
         return True
 
     def equation_run(self, run):
         """Take a run of equation lines in bulk, unless it follows
         backdoor-begin or a line repeats a variable."""
-        cut = None if self.in_backdoor else self._cut(run.replace("x", " "), signed=True)
+        cut = None if self.in_backdoor else self._cut(run[2:].replace("\nx ", "\n"), signed=True)
         if cut is None:
             return False
         ints, bodies = cut
@@ -233,9 +232,9 @@ class _Reader:
         if not all(map(int.__eq__, map(len, sets), map(len, bodies))):
             return False
         odd = map((1).__and__, map(str.count, run.split("\n"), repeat("-")))  # negative literals
-        self.tractable += [AffineEquation(frozenset(vs), 1 ^ n) for vs, n in zip(sets, odd)]
+        # bounded and nonzero, as AffineEquation checks them
+        self.tractable += [*map(AffineEquation._kept, map(frozenset, sets), map((1).__xor__, odd))]
         self.mvars.update(map(abs, ints))
-        self.mvars.discard(0)
         return True
 
     def prefix_run(self, run):
@@ -243,16 +242,15 @@ class _Reader:
         or a variable is quantified twice."""
         if self.tractable or self.covered:
             return False
-        cut = self._cut(run.replace("e", " ").replace("a", " "), signed=False)
+        cut = self._cut(run[2:].replace("\ne ", "\n").replace("\na ", "\n"), signed=False)
         if cut is None:
             return False
         ints, bodies = cut
-        vs = [*filter(None, ints)]
-        new = {*vs}
-        if len(new) != len(vs) or not self.seen.isdisjoint(new):
+        new = {*ints}
+        if len(new) != len(ints) or not self.seen.isdisjoint(new):
             return False
-        for line, body in zip(run.splitlines(), bodies):
-            self.entries.extend(zip(body, repeat(line[0])))
+        heads = map(itemgetter(0), run.splitlines())
+        self.entries.extend(zip(ints, chain.from_iterable(map(repeat, heads, map(len, bodies)))))
         self.seen |= new
         return True
 

@@ -21,10 +21,11 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import compress
 
 from .backdoor import SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor, verify_partition
 from .errors import CapError, ClassError
-from .formula import QbfFormula, apply_assignment, require_quantified
+from .formula import EXISTS, FORALL, QbfFormula, apply_assignment, require_quantified
 from .oracle import BRUTE_CAP, eval_bruteforce
 from .affine import _solve_aff, solve_aff  # noqa: F401  (bench/tracer.py wraps solve_aff here)
 from .solver2cnf import _solve as _solve_2cnf, solve as solve_2cnf  # noqa: F401  (and solve_2cnf)
@@ -44,23 +45,18 @@ def _solve_sign(formula: QbfFormula, cover: frozenset, good: int):
     stats = SolveStats(initial_k=len(cover))
     f = formula
     while True:  # a round: collect every unit, then rebuild once
-        units = {}
-        for atom in f.matrix.atoms():
-            if not atom:
-                units = None
-                break
-            if len(atom) == 1:
-                (l,) = atom
-                units[abs(l)] = 1 if l > 0 else 0
-        if units is None or any(f.prefix.is_universal(v) for v in units):
+        atoms = f.matrix.atoms()
+        short = [*compress(atoms, map((2).__gt__, map(len, atoms)))]  # the units and empty clauses
+        quantifier = dict(f.prefix.entries)  # every variable is quantified
+        units = {abs(l): 1 if l > 0 else 0 for (l,) in short} if all(short) else None
+        if units is None or FORALL in map(quantifier.__getitem__, units):
             stats.leaves = 1
             return False, stats
         if not units:
             break
         # units x and -x overwrite each other; the next round sees the empty clause
         f = apply_assignment(f, units)
-    dominant = {v: good if f.prefix.is_existential(v) else 1 - good
-                for v in f.prefix.variables() if v not in cover}
+    dominant = {v: good if q == EXISTS else 1 - good for v, q in f.prefix.entries if v not in cover}
     if dominant:
         f = apply_assignment(f, dominant)
     rest = len(f.prefix)

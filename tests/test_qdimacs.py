@@ -39,8 +39,9 @@ def test_write_then_parse_is_the_identity_up_to_atom_order(f):
 
 
 # Ways to spell a token: some keep its value through int() ("+3", "1_0",
-# Arabic-Indic digits), some pass the bulk character test but are no integer
-# ("-", "--2", "1-2"), some are a 0 in another spelling or out of range.
+# Arabic-Indic digits, and "01" and "-01", which JSON refuses), some pass
+# the bulk character test but are no integer ("-", "--2", "1-2"), some are
+# a 0 in another spelling or out of range.
 RESPELL = (
     lambda t: "+" + t,
     lambda t: t[:-1] + "_" + t[-1],
@@ -52,25 +53,32 @@ RESPELL = (
     lambda t: "-0",
     lambda t: "0",
     lambda t: "7",
+    lambda t: "0" + t.lstrip("-"),
+    lambda t: "-0" + t.lstrip("-"),
 )
 
 
 @st.composite
 def layouts(draw):
     """write_qdimacs text with its layout perturbed: tabs, trailing blanks,
-    "\r" line ends, blank, comment and lone-0 lines inserted anywhere, and
-    tokens spelled another way; CRLF throughout, and the final newline kept
-    or dropped."""
+    double spaces, "\r" line ends, blank, comment and lone-0 lines inserted
+    anywhere, and tokens spelled another way; CRLF throughout, and the final
+    newline kept or dropped."""
     lines = write_qdimacs(draw(formulas())).splitlines()
     for _ in range(draw(st.integers(0, 6))):
         i = draw(st.integers(0, len(lines)))
-        edit = draw(st.sampled_from(("tab", "blank", "cr", "insert", "respell")))
+        edit = draw(st.sampled_from(("tab", "blank", "double", "cr", "insert", "respell")))
         if edit == "insert" or i == len(lines):
             lines.insert(i, draw(st.sampled_from(("", " ", "\t", "c note", "0"))))
         elif edit == "tab":
             lines[i] = lines[i].replace(" ", draw(st.sampled_from(("\t", " \t"))), 1)
         elif edit == "blank":
             lines[i] += draw(st.sampled_from((" ", "  ", "\t")))
+        elif edit == "double":
+            spaces = [j for j, ch in enumerate(lines[i]) if ch == " "]
+            if spaces:
+                j = draw(st.sampled_from(spaces))
+                lines[i] = lines[i][:j] + " " + lines[i][j:]
         elif edit == "cr":
             lines[i] += "\r"
         else:
@@ -79,7 +87,7 @@ def layouts(draw):
             if j is not None:
                 toks[j] = draw(st.sampled_from(RESPELL))(toks[j])
                 lines[i] = " ".join(toks)
-    newline = draw(st.sampled_from(("\n", "\n", "\n", "\r\n")))  # CRLF leaves no run
+    newline = draw(st.sampled_from(("\n", "\n", "\n", "\r\n")))  # CRLF runs, and "\r\r\n" after a "cr" edit
     return newline.join(lines) + draw(st.sampled_from((newline, "")))
 
 
@@ -126,9 +134,36 @@ def test_runs_parse_as_the_per_line_loop_does(text):
     "p cnf 3 2\ne 1 2 3 0\nc backdoor-begin\n1 2 0\nx 1 2 0\n",
     # 1, 9, 17, 25 and 33 share a hash slot, so set order shows insertion order
     "p cnf 40 3\ne 1 9 17 25 33 0\nx 33 -17 9 1 0\n25 -9 17 33 0\n-1 -33 0\n",
+    # int() takes these, JSON does not, or reads -0 as 0
+    "p cnf 3 2\ne 1 2 3 0\n1 01 0\n2 -3 0\n",
+    "p cnf 3 1\ne 1 -0 0\n1 0\n",
+    "p cnf 3 2\ne 1 2 3 0\n1 -0 2 0\n3 0\n",
+    "p cnf 3 2\ne 1 2 3 0\nx 1 -0 2 0\nx 3 0\n",
+    "p cnf 3 1\ne 1 2 3 0\nx 1  2 0\n",
+    "p cnf 3 2\ne 1 2 3 0\n1 2  0\n3 0\n",
+    "p cnf 3 2\ne 1 2 3 0\n1 2 0 \n3 0\n",
+    "p cnf 3 2\ne 1 2 3 0\nx 1 2 0\nx  0\n",
+    # CRLF runs: an error on the third line of one, then "\r\n" mixed with "\r\r\n"
+    "p cnf 3 3\r\ne 1 2 3 0\r\n1 2 0\r\n-1 3 0\r\n2 -2 0\r\n",
+    "p cnf 3 3\r\ne 1 2 0\r\r\na 3 0\r\n1 2 0\r\r\n-1 3 0\r\n-2 0\r\r\n",
 ])
 def test_runs_at_the_edge_of_the_bulk_checks_parse_as_the_per_line_loop_does(text):
     assert outcome(parse_qdimacs, text) == outcome(by_line, text)
+
+
+def test_a_crlf_run_is_taken_in_bulk(monkeypatch):
+    seen = []
+    per_line = _Reader.lines
+
+    def lines(self, lines, start):
+        seen.extend(lines)
+        per_line(self, lines, start)
+
+    monkeypatch.setattr(_Reader, "lines", lines)
+    f = parse_qdimacs("p cnf 3 3\r\ne 1 2 0\r\na 3 0\r\n1 2 0\r\n-1 3 0\r\n-2 0\r\n")
+    assert seen == ["p cnf 3 3"]
+    assert f.prefix.entries == ((1, "e"), (2, "e"), (3, "a"))
+    assert f.matrix.tractable == (clause(1, 2), clause(-1, 3), clause(-2))
 
 
 def test_equation_lines_round_trip():

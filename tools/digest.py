@@ -28,6 +28,10 @@ input below. The sections:
                 blanks, blank lines, comment lines inside a run, no final
                 newline, a lone 0 (an empty clause), and literals written
                 as +3, 1_0 or in Arabic-Indic digits
+  spelling      parse_qdimacs on every pool text with a few tokens or line
+                ends changed: a leading zero (01, -01), -0 for a literal, two
+                spaces between tokens, two spaces before the terminator,
+                CRLF on some lines only, and \r\r\n line ends
   prefix        Prefix (entries and positions, or the error) on random
                 entry lists with bools, 0, negatives, duplicates, bad
                 quantifiers, unhashable items and malformed entries, and
@@ -400,6 +404,51 @@ def layout_section(seed):
     return sec
 
 
+SPELLINGS = ("leading-zero", "minus-zero", "double-space", "space-before-terminator", "crlf-some",
+             "cr-cr-lf")
+
+
+def respell(rng, text, kind):
+    """`text` with a few tokens or line ends changed the way `kind` says,
+    at random prefix and matrix lines; some changes keep the formula the
+    text states (01, CRLF), others break a line (-0 before the end)."""
+    lines = text.splitlines()
+    some = rng.sample(range(len(lines)), min(len(lines), rng.randint(1, 6)))
+    if kind in ("crlf-some", "cr-cr-lf"):
+        ends = ["\n"] * len(lines)
+        for i in some:
+            ends[i] = "\r\n" if kind == "crlf-some" else "\r\r\n"
+        return "".join(map(str.__add__, lines, ends))
+    for i in some:
+        toks = lines[i].split()
+        if toks[0] in ("c", "p"):
+            continue
+        first = int(toks[0] in ("e", "a", "x"))  # the head stays
+        if kind == "leading-zero":
+            j = rng.randrange(first, len(toks))
+            toks[j] = "-0" + toks[j][1:] if toks[j].startswith("-") else "0" + toks[j]
+        elif kind == "minus-zero":
+            toks[rng.randrange(first, len(toks))] = "-0"
+        elif kind == "double-space":
+            j = rng.randrange(1, len(toks)) if len(toks) > 1 else 0
+            toks[j:j] = [""]  # joins to two spaces, or a leading one
+        else:  # space-before-terminator
+            toks[-1:-1] = [""]
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def spelling_section(seed):
+    sec = Section("spelling")
+    rng = random.Random(f"spelling:{seed}")
+    for family, count in gen.POOL.items():
+        for i in range(count):
+            text = gen.instance(family, seed, i).text
+            for kind in SPELLINGS:
+                sec.add((family, i, kind, outcome(parse_qdimacs, respell(rng, text, kind), show=formula)))
+    return sec
+
+
 class Small(int):
     """An int subclass, which Prefix takes as a variable."""
 
@@ -552,7 +601,8 @@ def main(argv) -> int:
     texts = list(pools(seed))
     for sec in (dispatch_section(seed, texts), rank_section(seed, texts),
                 affsystem_section(seed, texts), pivot_elim_section(seed),
-                parse_section(seed), layout_section(seed), prefix_section(seed), engines_section(seed),
+                parse_section(seed), layout_section(seed), spelling_section(seed), prefix_section(seed),
+                engines_section(seed),
                 apply_section(seed), game2cnf_section(seed)):
         print(sec.line(), flush=True)
     return 0
