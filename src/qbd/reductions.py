@@ -244,6 +244,9 @@ def mis_bruteforce(g: PartitionedGraph, cap: int = 1 << 20) -> bool:
     return pick(0, [])
 
 
+MAX_ATOMS = 10**6  # the most atoms gen_random draws; tests and examples draw under a hundred
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Knobs for gen_random: n variables, a designated k-variable cover,
@@ -309,6 +312,8 @@ def gen_random(params: GenParams, seed: int) -> QbfFormula:
     n_back = params.backdoor_density * params.k
     if not (math.isfinite(n_tract) and math.isfinite(n_back)):
         raise ParamError(f"densities must give finite atom counts, got {n_tract} uncovered and {n_back} covered")
+    if round(n_tract) + round(n_back) > MAX_ATOMS:
+        raise ParamError(f"densities give {round(n_tract)} uncovered and {round(n_back)} covered atoms, more than {MAX_ATOMS}")
     if params.prefix_pattern is not None and (
         not params.prefix_pattern or set(params.prefix_pattern) - {EXISTS, FORALL}
     ):

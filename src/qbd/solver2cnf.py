@@ -18,11 +18,12 @@ decided directly.
 `solve` runs this search on one implication graph of the width-2 part,
 built once per solve: assignments go on a trail and are undone on
 backtracking, a look-ahead is one depth-first search from the pivot
-literal, and the width-2 game at the root is decided by the conditions of
-Aspvall, Plass and Tarjan (1979), read off the sets that such searches
-reach from the universal literals. `step` decides a single node from the
-propagation closures of `twocnf` instead. It is the reference: `solve`
-makes exactly the decisions that `step` makes.
+literal, and the root's failed-literal probe, one such search per literal
+at most, also decides the root's width-2 game by the conditions of
+Aspvall, Plass and Tarjan (1979) on its reach sets of the universal
+literals. `step` decides a single node from the propagation closures of
+`twocnf` instead. It is the reference: `solve` makes exactly the
+decisions that `step` makes.
 """
 
 from __future__ import annotations
@@ -145,17 +146,17 @@ class _Search:
     order. An edge is live while both its ends are unassigned.
 
     `unit` marks the derivable units of the width-2 part at the root;
-    `refuted` says that this part is contradictory or forces a universal
-    variable, so the root rejects. Along a branch the derivable units only
-    lose the variables that get assigned: every applied assignment is a
-    pivot plus all the units it newly derives. Nor do the
-    derived binary clauses grow, so once a node's width-2 game holds no
-    path between universals and no universal that shares a strongly
-    connected component with an outer existential, every descendant's
-    holds none either. So the root's game is decided once, by the exact
-    `_game_true` on the reach sets of the universal literals: a false one
-    makes the formula false (the covered clauses only add constraints), and
-    below a true one `_look` decides every arm.
+    `refuted` says that this part is contradictory, forces a universal
+    variable or makes a false width-2 game, so the root rejects. Along a
+    branch the derivable units only lose the variables that get assigned:
+    every applied assignment is a pivot plus all the units it newly
+    derives. Nor do the derived binary clauses grow, so once a node's
+    width-2 game holds no path between universals and no universal that
+    shares a strongly connected component with an outer existential,
+    every descendant's holds none either. So the root's game is decided
+    once, by `_probe` on the reach sets of the universal literals: a false
+    one makes the formula false (the covered clauses only add
+    constraints), and below a true one `_look` decides every arm.
     """
 
     def __init__(self, formula: QbfFormula):
@@ -185,23 +186,40 @@ class _Search:
     def _probe(self) -> list:
         """Derivable units by failed-literal probing: -l fails, reaching a
         complementary pair, exactly when l is derivable. Whatever a literal
-        that does not fail reaches cannot fail either, so it is not probed.
-        Probing stops early once the width-2 part is refuted."""
+        that does not fail reaches cannot fail either, so it is not probed,
+        unless universal: the reach sets of a universal variable's two
+        literals decide the root's width-2 game by the test of Aspvall,
+        Plass and Tarjan. The game is false when one reaches a complementary
+        pair or another universal literal, or reaches an existential literal
+        t quantified before it while its complement reaches -t (the graph is
+        skew-symmetric, so t reaches it back: the two share a strongly
+        connected component). A path through a derivable unit, or through
+        the complement of one, would make a universal literal derivable,
+        which refutes the root anyway, so the derivable units stay in the
+        graph. Probing stops once the root is refuted."""
         adj, univ = self.adj, self.univ
         unit = [False] * len(adj)
         holds = [False] * len(adj)
         for s in range(len(adj)):
-            if holds[s] or not adj[s]:
+            u = univ[s >> 1]
+            if not u and (holds[s] or not adj[s]):
                 continue
             reached = _reach(adj, s)
             if reached is None:
                 unit[s ^ 1] = True
-                if unit[s] or univ[s >> 1]:
+                if unit[s] or u:
                     self.refuted = True
                     break
-            else:
-                for t in reached:
-                    holds[t] = True
+                continue
+            for t in reached:
+                holds[t] = True
+            if u and s & 1:  # literal 2i, probed just before, reached `positive`
+                i, r = s >> 1, (positive, reached)
+                if any(t >> 1 != i and (univ[t >> 1] or t >> 1 < i and t ^ 1 in r[1 - b])
+                       for b in (0, 1) for t in r[b]):
+                    self.refuted = True
+                    break
+            positive = reached
         return unit
 
     def _play(self, arm) -> None:
@@ -263,29 +281,6 @@ class _Search:
                 stack.append(s)
         return new
 
-    def _game_true(self) -> bool:
-        """The test of Aspvall, Plass and Tarjan on the root's width-2 game,
-        read off the reach sets of the universal literals: the game is false
-        when one reaches a complementary pair or another universal literal,
-        or reaches an existential literal t quantified before it while its
-        complement reaches -t. The graph is skew-symmetric, so t then reaches
-        it back: the two share a strongly connected component. A path through
-        a derivable unit, or through the complement of one, would make a
-        universal literal derivable, and `_probe` has refuted the root
-        before this runs, so the derivable units stay in the graph."""
-        adj, univ = self.adj, self.univ
-        for i, u in enumerate(univ):
-            if not u:
-                continue
-            r = (_reach(adj, 2 * i), _reach(adj, 2 * i + 1))
-            if None in r:
-                return False
-            for b in (0, 1):
-                for t in r[b]:
-                    if t >> 1 != i and (univ[t >> 1] or t >> 1 < i and t ^ 1 in r[1 - b]):
-                        return False
-        return True
-
     def _arms(self, cursor: int, cover: set):
         """The node at the variable in position `cursor`, with covered
         clauses still open: None when it rejects, else the arm to play and,
@@ -304,11 +299,11 @@ class _Search:
     def run(self, stats: SolveStats) -> bool:
         """Search to the end; returns the value and counts into `stats`."""
         univ, val = self.univ, self.val
-        if self.refuted or not self._game_true():
+        if self.refuted:
             # every decision at the root rejects
             stats.leaves = 1
             return False
-        frames = []  # per open branch: [existential, trail mark, cursor, depth, other arm]
+        frames = []  # per branch with its other arm unplayed: (existential, trail mark, cursor, depth, other arm)
         cursor = depth = 0
         while True:
             stats.max_depth = max(stats.max_depth, depth)
@@ -321,7 +316,7 @@ class _Search:
                     arm, other = move
                     if other is not None:
                         stats.branch_nodes += 1
-                        frames.append([not univ[cursor], len(self.trail), cursor, depth, other])
+                        frames.append((not univ[cursor], len(self.trail), cursor, depth, other))
                     self._play(arm)
                     depth += 1
                     continue
@@ -329,16 +324,15 @@ class _Search:
             value = cover is not None and not cover
             stats.leaves += 1
             while frames:
-                frame = frames[-1]
-                exist, mark, cursor, depth, other = frame
+                # a branch whose other arm was played is off the stack: its
+                # value is that arm's, and an outer mark undoes the arm
+                exist, mark, cursor, depth, other = frames.pop()
                 self._undo(mark)
-                if other is not None and exist != value:
+                if exist != value:
                     # an existential arm lost, or a universal one won: try the other
-                    frame[4] = None
                     self._play(other)
                     depth += 1
                     break
-                frames.pop()
             else:
                 return value
 

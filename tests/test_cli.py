@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qbd import cli
+from qbd import cli, reductions
 from qbd.formula import AffineEquation, clause
 from qbd.oracle import extract_strategy
 from qbd.qdimacs import parse_qdimacs, write_qdimacs
@@ -289,6 +289,17 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "qbd: densities must give finite atom counts, got nan uncovered and 1.0 covered\n"
+
+    def test_too_many_atoms_is_one_error_line(self, monkeypatch, capsys):
+        def no_atoms(*args):
+            raise AssertionError("an atom was drawn")
+
+        monkeypatch.setattr(reductions, "_gen_atom", no_atoms)
+        args = ["generate", "random", "--n", "3", "--k", "1", "--seed", "1", "--tractable-density", "1e9"]
+        assert cli.run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qbd: densities give 3000000000 uncovered and 1 covered atoms, more than 1000000\n"
 
     def test_mis_horn(self, tmp_path, capsys):
         g = tmp_path / "graph.txt"

@@ -233,6 +233,9 @@ class TestGenRandom:
                              (2, 2, 1.5, 1e308), (3, 0, 1.5, math.inf)):
             with pytest.raises(ParamError, match="finite atom counts"):
                 gen_random(GenParams(n=n, k=k, tractable_density=dt, backdoor_density=db), 1)
+        for n, k, dt, db in ((3, 1, 1e9, 1.0), (2, 2, 0.0, 5e5 + 1)):
+            with pytest.raises(ParamError, match="atoms, more than 1000000"):
+                gen_random(GenParams(n=n, k=k, tractable_density=dt, backdoor_density=db), 1)
         with pytest.raises(ParamError, match="'e'/'a'"):
             gen_random(GenParams(n=2, k=1, prefix_pattern="eq"), 0)
         with pytest.raises(UnknownTag):

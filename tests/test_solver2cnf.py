@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from qbd import solver2cnf
 from qbd.errors import ClassError, DomainError
 from qbd.formula import EXISTS, FORALL, Matrix, Prefix, QbfFormula, apply_assignment, clause
 from qbd.oracle import eval_bruteforce
@@ -153,6 +155,21 @@ class TestSolve:
             value, stats = solve(f)
             assert value == eval_bruteforce(f), f
             assert stats.leaves <= 1 << stats.initial_k, f
+
+    def test_no_literal_starts_two_reach_searches(self, monkeypatch):
+        """The probe's reach sets of a universal variable's two literals
+        also decide the root's width-2 game, so no second search runs."""
+        starts = Counter()
+        real = solver2cnf._reach
+        monkeypatch.setattr(solver2cnf, "_reach", lambda adj, s: starts.update((s,)) or real(adj, s))
+        # x1 -> x2: the probe from x1 marks x2, and the game reads x1's set
+        assert solve(instance("a1 e2", [clause(-1, 2)])) == (True, SolveStats(leaves=1))
+        assert starts == Counter({0: 1, 1: 1, 3: 1})
+        rng = random.Random(16)
+        for _ in range(500):
+            starts.clear()
+            solve(random_cc2cnf(rng))
+            assert set(starts.values()) <= {1}
 
     def test_pure_2cnf_never_branches(self):
         rng = random.Random(8)

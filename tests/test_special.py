@@ -11,7 +11,7 @@ from qbd import backdoor
 from qbd.affine import solve_aff
 from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, rank_classes
 from qbd.errors import CapError, ClassError, DomainError
-from qbd.formula import Matrix, Prefix, QbfFormula, clause
+from qbd.formula import FORALL, Matrix, Prefix, QbfFormula, clause
 from qbd.reductions import GenParams, dualize, gen_random
 from qbd.solver2cnf import solve as solve_2cnf
 from qbd.special import _ENGINES, Verdict, dispatch, solve_dual_posneg, solve_posneg
@@ -286,6 +286,29 @@ class TestDispatch:
             assert got == expected
             assert [str(w.message) for w in caught] == expected_warnings
             assert got.value == naive_eval(g)
+
+    @PROPERTY
+    @given(formulas(), st.data())
+    def test_every_mode_agrees_with_the_naive_recursion(self, f, data):
+        """Auto dispatch, under and over the brute-force cap, and each
+        forced engine that takes the formula give the value of the naive
+        recursion. A drawn set of variables turns universal, so that the
+        2-CNF engine often refutes its root by the width-2 game."""
+        entries = f.prefix.entries
+        universal = data.draw(st.sets(st.sampled_from([v for v, _ in entries]))) if entries else set()
+        f = replace(f, prefix=Prefix(tuple((v, FORALL if v in universal else q) for v, q in entries)))
+        expected = naive_eval(f)
+        for g in (f, replace(f, base_class=None)):
+            for cap in (0, 24):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the over-cap warning
+                    assert dispatch(g, brute_cap=cap).value == expected, cap
+            for algorithm in (*SOLVABLE, "brute"):
+                try:
+                    got = dispatch(g, algorithm=algorithm)
+                except ClassError:  # another declared class, or an equation to cover
+                    continue
+                assert got.value == expected, algorithm
 
     @PROPERTY
     @given(formulas(), st.sampled_from(SOLVABLE))
