@@ -23,15 +23,15 @@ system (truth-preservingly, never touching the covered clauses) until
 * every equation carries at most one variable outside X,
 
 which bounds the system by |X| equations over at most 2|X| variables. The
-covered game then branches on at most |X| variables: one per equation is
-forced, the rest are played.
+covered game, searched with backdoor.search, then branches on at most |X|
+variables: one per equation is forced, the rest are played.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backdoor import BaseClass, SolveStats, verify_partition
+from .backdoor import BaseClass, search, verify_partition
 from .errors import (
     ClassError,
     DomainError,
@@ -286,48 +286,35 @@ def solve_aff(formula: QbfFormula):
 
 
 def _solve_aff(formula: QbfFormula, cover: frozenset):
-    stats = SolveStats(initial_k=len(cover))
     try:
         kr = kernelize(AffSystem.from_formula(formula), cover)
-    except PreconditionError:
-        stats.leaves = 1
-        return False, stats
-    order = kr.reduced_prefix.entries
-    forced_by = dict(kr.forced)
-    clauses = formula.matrix.backdoor
-    # Depth first over `order` without recursion, so deep prefixes fit.
-    # tau needs no undo: a forced row reads only outer variables, and a
-    # position is assigned again before anything reads it.
-    tau = {}
-    open_branches = []  # positions of branch nodes whose arm 1 is untried
-    i = 0
-    while True:
-        while i < len(order):
-            v, _ = order[i]
-            eq = forced_by.get(v)
-            if eq is None:
-                stats.branch_nodes += 1
-                open_branches.append(i)
-                tau[v] = 0
-            else:
-                val = eq.rhs
-                for u in eq.vars:
-                    if u != v:
-                        val ^= tau[u]
-                tau[v] = val
-            i += 1
-        stats.leaves += 1
-        value = all(any(tau[abs(l)] == (1 if l > 0 else 0) for l in c) for c in clauses)
-        # A branch node takes the value of the last arm it tried; it tries
-        # arm 1 only when arm 0 went against its owner.
-        while open_branches:
-            v, q = order[open_branches[-1]]
-            if tau[v] == 0 and value != (q == EXISTS):
-                break
-            open_branches.pop()
-        if not open_branches:
-            stats.max_depth = len(order)  # every path ends at a leaf
-            return value, stats
-        i = open_branches[-1]
-        tau[order[i][0]] = 1
-        i += 1
+    except PreconditionError:  # the parity game alone is false
+        return search(_Walk((), (), [frozenset()]), len(cover))  # the empty clause: a False leaf at the root
+    return search(_Walk(kr.reduced_prefix.entries, kr.forced, formula.matrix.backdoor), len(cover))
+
+
+class _Walk:
+    """The kernel's covered game for backdoor.search: the state is a
+    position of `order`, an arm its value. `tau` needs no undo: a forced row
+    reads only outer variables, and a position is set again before it is read."""
+
+    def __init__(self, order, forced, clauses):
+        self.order, self.forced_by, self.clauses, self.tau, self.state = order, dict(forced), clauses, {}, 0
+
+    def node(self):
+        tau, i = self.tau, self.state
+        if i == len(self.order):
+            return all(any(tau[abs(l)] == (1 if l > 0 else 0) for l in c) for c in self.clauses)
+        v, q = self.order[i]
+        eq = self.forced_by.get(v)
+        if eq is None:
+            return q == EXISTS, 0, 1
+        val = eq.rhs
+        for u in eq.vars:
+            if u != v:
+                val ^= tau[u]
+        return True, val, None  # a forced row: one move
+
+    def play(self, value) -> None:
+        self.tau[self.order[self.state][0]] = value
+        self.state += 1

@@ -206,6 +206,35 @@ class SolveStats:
     initial_k: int = 0
 
 
+def search(game, k: int):
+    """Depth-first search of a game without recursion; returns (value,
+    SolveStats) for a cover of k variables. `game.node()` is a leaf's value
+    or (existential, arm, other arm or None); `game.play(arm)` moves, and
+    writing back a `game.state` read earlier takes back every move since.
+    A branch plays its other arm only when the first went against its owner."""
+    stats = SolveStats(initial_k=k)
+    frames = []  # per branch with its other arm unplayed: (existential, state, depth, other arm)
+    depth = 0
+    while True:
+        move = game.node()
+        if move.__class__ is tuple:
+            exist, arm, other = move
+            if other is not None:
+                stats.branch_nodes += 1
+                frames.append((exist, game.state, depth, other))
+        else:
+            stats.leaves += 1
+            stats.max_depth = max(stats.max_depth, depth)  # the deepest node is a leaf
+            while True:  # back to the innermost branch whose other arm is due
+                if not frames:
+                    return move, stats
+                exist, game.state, depth, arm = frames.pop()
+                if exist != move:
+                    break
+        game.play(arm)
+        depth += 1
+
+
 def verify_partition(formula: QbfFormula, base_class) -> frozenset:
     """The preamble of every engine: check the partition, return the cover.
 

@@ -15,22 +15,22 @@ into the width-2 part decides the node:
 Once every covered clause is satisfied the residual width-2 game is
 decided directly.
 
-`solve` runs this search on one implication graph of the width-2 part,
-built once per solve: assignments go on a trail and are undone on
-backtracking, a look-ahead is one depth-first search from the pivot
-literal, and the root's failed-literal probe, one such search per literal
-at most, also decides the root's width-2 game by the conditions of
-Aspvall, Plass and Tarjan (1979) on its reach sets of the universal
-literals. `step` decides a single node from the propagation closures of
-`twocnf` instead. It is the reference: `solve` makes exactly the
-decisions that `step` makes.
+`solve` runs this search on backdoor.search, over one implication graph
+of the width-2 part built once per solve: assignments go on a trail and
+are undone on backtracking, a look-ahead is one depth-first search from
+the pivot literal, and the root's failed-literal probe, one such search
+per literal at most, also decides the root's width-2 game by the
+conditions of Aspvall, Plass and Tarjan (1979) on its reach sets of the
+universal literals. `step` decides a single node from the propagation
+closures of `twocnf` instead. It is the reference: `solve` makes exactly
+the decisions that `step` makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backdoor import BaseClass, SolveStats, verify_partition
+from .backdoor import BaseClass, SolveStats, search, verify_partition  # noqa: F401  (SolveStats: tests import it here)
 from .errors import InternalError
 from .formula import FORALL, QbfFormula
 # unused here, but bench/tracer.py wraps this name on this module
@@ -168,6 +168,7 @@ class _Search:
         self.univ = [q == FORALL for _, q in entries]
         self.val = [-1] * len(entries)
         self.trail = []
+        self.cursor = 0  # no variable before this position is unassigned
         self.adj = adj = [[] for _ in range(2 * len(entries))]
         self.refuted = False
         for c in formula.matrix.tractable:
@@ -180,8 +181,9 @@ class _Search:
                 adj[lit[-a]].append(lit[a])
             else:
                 self.refuted = True
-        self.back = [[lit[l] for l in c] for c in formula.matrix.backdoor]
         self.unit = self._probe()
+        # a refuted root gets the empty covered clause, so it is a leaf whose value is False
+        self.back = [[]] if self.refuted else [[lit[l] for l in c] for c in formula.matrix.backdoor]
 
     def _probe(self) -> list:
         """Derivable units by failed-literal probing: -l fails, reaching a
@@ -222,17 +224,22 @@ class _Search:
             positive = reached
         return unit
 
-    def _play(self, arm) -> None:
+    def play(self, arm) -> None:
         """Assign an arm's pivot literal and the units it derives."""
         pivot, new = arm
+        self.cursor = pivot >> 1  # the outermost unassigned variable, at the arm's node
         for l in [pivot] + [t for t in new if t != pivot]:
             self.val[l >> 1] = 1 - (l & 1)
             self.trail.append(l >> 1)
 
-    def _undo(self, mark: int) -> None:
-        val, trail = self.val, self.trail
-        while len(trail) > mark:
-            val[trail.pop()] = -1
+    @property
+    def state(self) -> int:
+        return len(self.trail)
+
+    @state.setter
+    def state(self, mark: int) -> None:  # unassign what was assigned since the mark
+        while len(self.trail) > mark:
+            self.val[self.trail.pop()] = -1
 
     def _cover(self):
         """None when a covered clause is falsified, else the unassigned
@@ -281,60 +288,25 @@ class _Search:
                 stack.append(s)
         return new
 
-    def _arms(self, cursor: int, cover: set):
-        """The node at the variable in position `cursor`, with covered
-        clauses still open: None when it rejects, else the arm to play and,
-        at a branch, the other arm. An arm is (pivot literal, the units it
-        newly derives)."""
+    def node(self):
+        """The node for backdoor.search at the outermost unassigned variable:
+        a leaf's value, or (existential, arm, the other arm at a branch or
+        None), where an arm is (pivot literal, the units it newly derives)."""
+        cover = self._cover()
+        if not cover:  # every covered clause is satisfied, or one is false
+            return cover is not None
+        while self.val[self.cursor] >= 0:
+            self.cursor += 1
+        cursor = self.cursor
         arms = [(pivot, self._look(pivot)) for pivot in (2 * cursor + 1, 2 * cursor)]  # the values 0 and 1
         live = [a for a in arms if a[1] is not None]
         exist = not self.univ[cursor]
         if len(live) < 2:
-            return (live[0], None) if live and exist else None
+            return (exist, live[0], None) if live and exist else False
         free = [b for b in (1, 0) if not any(t >> 1 in cover for t in arms[b][1])]
         if free:
-            return arms[free[0] if exist else 1 - free[0]], None
-        return arms[0], arms[1]
-
-    def run(self, stats: SolveStats) -> bool:
-        """Search to the end; returns the value and counts into `stats`."""
-        univ, val = self.univ, self.val
-        if self.refuted:
-            # every decision at the root rejects
-            stats.leaves = 1
-            return False
-        frames = []  # per branch with its other arm unplayed: (existential, trail mark, cursor, depth, other arm)
-        cursor = depth = 0
-        while True:
-            stats.max_depth = max(stats.max_depth, depth)
-            cover = self._cover()
-            if cover:
-                while val[cursor] >= 0:
-                    cursor += 1
-                move = self._arms(cursor, cover)
-                if move is not None:
-                    arm, other = move
-                    if other is not None:
-                        stats.branch_nodes += 1
-                        frames.append((not univ[cursor], len(self.trail), cursor, depth, other))
-                    self._play(arm)
-                    depth += 1
-                    continue
-            # a leaf: every covered clause is satisfied, one is false, or the node rejects
-            value = cover is not None and not cover
-            stats.leaves += 1
-            while frames:
-                # a branch whose other arm was played is off the stack: its
-                # value is that arm's, and an outer mark undoes the arm
-                exist, mark, cursor, depth, other = frames.pop()
-                self._undo(mark)
-                if exist != value:
-                    # an existential arm lost, or a universal one won: try the other
-                    self._play(other)
-                    depth += 1
-                    break
-            else:
-                return value
+            return exist, arms[free[0] if exist else 1 - free[0]], None
+        return exist, arms[0], arms[1]
 
 
 def solve(formula: QbfFormula):
@@ -343,5 +315,4 @@ def solve(formula: QbfFormula):
 
 
 def _solve(formula: QbfFormula, cover: frozenset):
-    stats = SolveStats(initial_k=len(cover))
-    return _Search(formula).run(stats), stats
+    return search(_Search(formula), len(cover))

@@ -1,12 +1,9 @@
 """Engines for sign-uniform matrices, and the algorithm dispatcher.
 
 A matrix of positive clauses plus negative units (or its mirror image) is
-solved by unit propagation in rounds (each round substitutes every unit at
-once; propagation is confluent, so the fixpoint is the unit-at-a-time one),
-then dominant moves: with no units left, a variable with only positive
-occurrences is best set to 1 by its owner and to 0 by the opponent, so every
-uncovered variable's move is known in advance. What survives lives entirely
-on covered variables and is enumerated, at most 2^k plays.
+solved by backdoor.search with the QBF unit and monotone-literal rules of
+Cadoli, Giovanardi and Schaerf (1998) at every node: a variable they leave
+has a negative literal in a covered clause, so only covered ones branch.
 
 An engine's public function runs backdoor.verify_partition, then a private
 core on the formula and its cover; _ENGINES maps each class to its core.
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import compress
 
-from .backdoor import SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor, verify_partition
+from .backdoor import SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor, search, verify_partition
 from .errors import CapError, ClassError
 from .formula import EXISTS, FORALL, QbfFormula, apply_assignment, require_quantified
 from .oracle import BRUTE_CAP, eval_bruteforce
@@ -41,29 +38,44 @@ class Verdict:
     stats: SolveStats
 
 
+class _Sign:
+    """The residual game of a sign-uniform matrix, for backdoor.search: the
+    state is the residual formula, an arm assigns its outermost variable,
+    and `good` (1 for posneg, 0 for its mirror) makes tractable literals true."""
+
+    def __init__(self, formula: QbfFormula, good: int):
+        self.state, self.good = formula, good
+
+    def node(self):
+        f, good = self.state, self.good
+        while True:  # a round: collect every unit, or else every monotone move, then rebuild once
+            atoms = f.matrix.atoms()
+            short = [*compress(atoms, map((2).__gt__, map(len, atoms)))]  # the units and empty clauses
+            quantifier = dict(f.prefix.entries)  # every variable is quantified
+            units = {abs(l): 1 if l > 0 else 0 for (l,) in short} if all(short) else None
+            if units is None or FORALL in map(quantifier.__getitem__, units):
+                return False
+            if not atoms:
+                return True
+            if not units:  # a monotone variable: its owner makes its literals true, the opponent false
+                lits = set().union(*atoms)
+                units = {v: int((v in lits) == (q == EXISTS)) for v, q in f.prefix.entries
+                         if v not in lits or -v not in lits}
+                if not units:
+                    break
+            # units x and -x overwrite each other; the next round sees the empty clause
+            f = apply_assignment(f, units)
+        self.state = f  # every variable left has both signs, so it lies in a covered clause
+        v, q = f.prefix.entries[0]
+        first = good if q == EXISTS else 1 - good
+        return q == EXISTS, {v: first}, {v: 1 - first}
+
+    def play(self, arm) -> None:
+        self.state = apply_assignment(self.state, arm)
+
+
 def _solve_sign(formula: QbfFormula, cover: frozenset, good: int):
-    stats = SolveStats(initial_k=len(cover))
-    f = formula
-    while True:  # a round: collect every unit, then rebuild once
-        atoms = f.matrix.atoms()
-        short = [*compress(atoms, map((2).__gt__, map(len, atoms)))]  # the units and empty clauses
-        quantifier = dict(f.prefix.entries)  # every variable is quantified
-        units = {abs(l): 1 if l > 0 else 0 for (l,) in short} if all(short) else None
-        if units is None or FORALL in map(quantifier.__getitem__, units):
-            stats.leaves = 1
-            return False, stats
-        if not units:
-            break
-        # units x and -x overwrite each other; the next round sees the empty clause
-        f = apply_assignment(f, units)
-    dominant = {v: good if q == EXISTS else 1 - good for v, q in f.prefix.entries if v not in cover}
-    if dominant:
-        f = apply_assignment(f, dominant)
-    rest = len(f.prefix)
-    stats.branch_nodes = rest
-    stats.max_depth = rest
-    stats.leaves = 1 << rest
-    return eval_bruteforce(f, cap=None), stats
+    return search(_Sign(formula, good), len(cover))
 
 
 def solve_posneg(formula: QbfFormula):

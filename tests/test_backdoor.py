@@ -7,8 +7,10 @@ from qbd.backdoor import (
     BaseClass,
     DEFAULT_CANDIDATES,
     SOLVABLE,
+    SolveStats,
     detect_cc_backdoor,
     rank_classes,
+    search,
     verify_partition,
 )
 from qbd.errors import ClassError, DomainError, UnknownTag
@@ -189,6 +191,53 @@ class TestVerifyPartition:
         )
         with pytest.raises(ClassError, match="equation"):
             verify_partition(f, "aff")
+
+
+class TreeGame:
+    """A game tree for search: `tree` maps the arms on the path, joined, to
+    the node there. `played` logs every arm in the order played."""
+
+    def __init__(self, tree):
+        self.tree, self.state, self.played = tree, "", []
+
+    def node(self):
+        return self.tree[self.state]
+
+    def play(self, arm):
+        self.state += arm
+        self.played.append(arm)
+
+
+class TestSearch:
+    # an existential root over two universal branches; "ac" is a one-move node
+    TREE = {
+        "": (True, "a", "b"),
+        "a": (False, "c", "d"),
+        "ac": (True, "e", None),
+        "ace": True,
+        "ad": False,
+        "b": (False, "c", "d"),
+        "bc": False,
+        "bd": True,
+    }
+
+    def test_the_other_arm_is_played_only_against_its_owner(self):
+        # "ac" wins for the existential, so the universal at "a" tries "ad";
+        # that loses, so the root tries "b", where "bc" already wins for
+        # the universal and "bd" is never seen
+        game = TreeGame(self.TREE)
+        assert search(game, 5) == (False, SolveStats(branch_nodes=3, leaves=3, max_depth=3, initial_k=5))
+        assert game.played == ["a", "c", "e", "d", "b", "c"]
+
+    def test_a_first_arm_for_its_owner_decides_the_branch(self):
+        game = TreeGame({**self.TREE, "ad": True})
+        assert search(game, 2) == (True, SolveStats(branch_nodes=2, leaves=2, max_depth=3, initial_k=2))
+        assert game.played == ["a", "c", "e", "d"]
+
+    def test_a_leaf_root(self):
+        game = TreeGame({"": False})
+        assert search(game, 0) == (False, SolveStats(leaves=1))
+        assert game.played == []
 
 
 def test_unquantified_variables_are_listed_sorted():

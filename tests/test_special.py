@@ -1,17 +1,21 @@
 import random
 import re
+import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qbd import backdoor
+from qbd import backdoor, oracle
 from qbd.affine import solve_aff
-from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, rank_classes
+from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, detect_cc_backdoor, rank_classes
 from qbd.errors import CapError, ClassError, DomainError
 from qbd.formula import FORALL, Matrix, Prefix, QbfFormula, clause
+from qbd.oracle import eval_bruteforce
+from qbd.qdimacs import parse_qdimacs
 from qbd.reductions import GenParams, dualize, gen_random
 from qbd.solver2cnf import solve as solve_2cnf
 from qbd.special import _ENGINES, Verdict, dispatch, solve_dual_posneg, solve_posneg
@@ -45,13 +49,25 @@ def random_sign_instance(rng, dual=False, max_n=8):
     return QbfFormula(random_prefix(rng, n), Matrix(tuple(tract), tuple(back)))
 
 
+def random_3cnf_files(monkeypatch, sizes, draws):
+    """Parsed random_3cnf files of the benchmark generator (bench/gen.py):
+    mixed-sign width-3 clauses over all n variables, so that every
+    solvable class's cover takes all n."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import gen
+
+    for n in sizes:
+        for i in range(draws):
+            yield parse_qdimacs(gen.random_3cnf(random.Random(f"3cnf:{n}:{i}"), n).text)
+
+
 class TestSignEngines:
     def test_dominant_moves_then_enumeration(self):
         f = instance("e1 a2 e3", [clause(1, 3)], [clause(-1, -3)])
         value, stats = solve_posneg(f)
         assert value is True
         assert stats.initial_k == 2
-        assert stats.leaves == 4
+        assert stats.leaves == 1
 
     def test_universal_unit_is_false(self):
         value, stats = solve_posneg(instance("a2", [clause(2)]))
@@ -70,7 +86,7 @@ class TestSignEngines:
             [clause(-1), clause(1, 2), clause(2, 3, 5)],
             [clause(-2, -3, 4), clause(3, -4)],
         )
-        assert solve_posneg(f) == (True, SolveStats(branch_nodes=2, leaves=4, max_depth=2, initial_k=3))
+        assert solve_posneg(f) == (True, SolveStats(branch_nodes=1, leaves=1, max_depth=1, initial_k=3))
 
     def test_units_of_one_round_falsify_the_cover(self):
         # x2=1 and x3=1 arrive together in round 2 and empty (-2 -3)
@@ -102,6 +118,27 @@ class TestSignEngines:
             value, stats = solve_posneg(f)
             assert value == naive_eval(f), f
             assert stats.leaves <= 1 << stats.initial_k, f
+
+    def test_covers_of_every_variable_are_searched_without_a_table(self, monkeypatch):
+        def no_table(formula):
+            raise AssertionError("a truth table was built")
+
+        monkeypatch.setattr(oracle, "matrix_table", no_table)
+        for f in random_3cnf_files(monkeypatch, (28, 29, 30), 3):
+            bd = detect_cc_backdoor(f, "posneg")
+            assert bd.k == len(f.prefix)
+            start = time.process_time()
+            value, stats = solve_posneg(bd.formula)
+            assert time.process_time() - start < 3, f
+            assert stats.leaves <= 1 << stats.initial_k
+
+    def test_covers_of_every_variable_agree_with_brute_force(self, monkeypatch):
+        for f in random_3cnf_files(monkeypatch, (6, 10, 14, 18, 20), 4):
+            expected = eval_bruteforce(f)
+            for kind, engine in (("posneg", solve_posneg), ("dual-posneg", solve_dual_posneg)):
+                value, stats = engine(detect_cc_backdoor(f, kind).formula)
+                assert value == expected, (kind, f)
+                assert stats.leaves <= 1 << stats.initial_k
 
     def test_dual_posneg_agrees_with_the_naive_recursion(self):
         rng = random.Random(42)
@@ -302,13 +339,16 @@ class TestDispatch:
             for cap in (0, 24):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # the over-cap warning
-                    assert dispatch(g, brute_cap=cap).value == expected, cap
+                    got = dispatch(g, brute_cap=cap)
+                assert got.value == expected, cap
+                assert got.stats.leaves <= 1 << got.stats.initial_k, cap
             for algorithm in (*SOLVABLE, "brute"):
                 try:
                     got = dispatch(g, algorithm=algorithm)
                 except ClassError:  # another declared class, or an equation to cover
                     continue
                 assert got.value == expected, algorithm
+                assert got.stats.leaves <= 1 << got.stats.initial_k, algorithm
 
     @PROPERTY
     @given(formulas(), st.sampled_from(SOLVABLE))

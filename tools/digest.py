@@ -52,6 +52,13 @@ input below. The sections:
                 existential quantified before it or after it, and a fan
                 whose long chain ends in a clause that implies another
                 universal, or in none
+  values        the game value alone, which engine counters do not touch:
+                on every pool instance as parsed and on every input of the
+                engines section, from auto dispatch (under and over the
+                brute-force cap), from each forced engine and brute mode,
+                and from each public engine (on the engines inputs also on
+                their partitions into each solvable class); a mode that
+                refuses the formula gives its error
 
 Each line reads `section sha256 items`. Random inputs are drawn from a
 random.Random seeded with the section name and SEED.
@@ -593,6 +600,30 @@ def game2cnf_section(seed):
     return sec
 
 
+def value(result):
+    return result[0] if isinstance(result, tuple) else result.value
+
+
+def values_section(seed, texts):
+    sec = Section("values")
+    rng = random.Random(f"engines:{seed}")  # the draws of the engines section
+    inputs = [(family, i, f, ()) for family, i, f in texts]
+    for i in range(RANDOM_DRAWS):
+        f = random_formula(rng)
+        bare = replace(f, base_class=None)
+        inputs.append(("engines", i, f, (bare,) + tuple(bd.formula for bd in rank_classes(bare, SOLVABLE))))
+    for family, i, f, more in inputs:
+        for cap in (0, BRUTE_CAP):
+            sec.add((family, i, cap, outcome(dispatch, f, None, cap, show=value)))
+        for g in (f,) + more[:1]:
+            for algorithm in SOLVABLE + ("brute",):
+                sec.add((algorithm, outcome(dispatch, g, algorithm, BRUTE_CAP, show=value)))
+        for g in (f,) + more[1:]:
+            for kind, engine in PUBLIC.items():
+                sec.add((kind, outcome(engine, g, show=value)))
+    return sec
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
         print("usage: python3 tools/digest.py SEED", file=sys.stderr)
@@ -603,7 +634,7 @@ def main(argv) -> int:
                 affsystem_section(seed, texts), pivot_elim_section(seed),
                 parse_section(seed), layout_section(seed), spelling_section(seed), prefix_section(seed),
                 engines_section(seed),
-                apply_section(seed), game2cnf_section(seed)):
+                apply_section(seed), game2cnf_section(seed), values_section(seed, texts)):
         print(sec.line(), flush=True)
     return 0
 
