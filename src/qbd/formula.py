@@ -286,6 +286,13 @@ def _apply_equation(eq: AffineEquation, tau: Assignment):
     return out
 
 
+def _substitute(clauses, true: set, false: set) -> list:
+    """The clauses under an assignment whose true literals are `true` and
+    whose false ones are `false`: a clause with a true literal is dropped,
+    the others lose their false literals, in order."""
+    return [c if false.isdisjoint(c) else c - false for c in clauses if true.isdisjoint(c)]
+
+
 def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
     """Substitute `tau` into the formula.
 
@@ -312,7 +319,7 @@ def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
         elif true.isdisjoint(a):  # else satisfied
             tract.append(a if false.isdisjoint(a) else a - false)
     try:
-        back = [c if false.isdisjoint(c) else c - false for c in formula.matrix.backdoor if true.isdisjoint(c)]
+        back = _substitute(formula.matrix.backdoor, true, false)
     except TypeError:  # an equation is not iterable
         raise ClassError("the covered part holds clauses only") from None
     return QbfFormula(

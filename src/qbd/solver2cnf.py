@@ -17,11 +17,12 @@ decided directly.
 
 `solve` runs this search on backdoor.search, over one implication graph
 of the width-2 part built once per solve: assignments go on a trail and
-are undone on backtracking, a look-ahead is one depth-first search from
-the pivot literal, and the root's failed-literal probe, one such search
-per literal at most, also decides the root's width-2 game by the
-conditions of Aspvall, Plass and Tarjan (1979) on its reach sets of the
-universal literals. `step` decides a single node from the propagation
+are undone on backtracking, the covered clauses are scanned again only
+after a move assigned or unassigned a covered variable, a look-ahead is
+one depth-first search from the pivot literal, and the root's
+failed-literal probe, one such search per literal at most, also decides
+the root's width-2 game by the conditions of Aspvall, Plass and Tarjan
+(1979) on its reach sets of the universal literals. `step` decides a single node from the propagation
 closures of `twocnf` instead. It is the reference: `solve` makes exactly
 the decisions that `step` makes.
 """
@@ -184,6 +185,12 @@ class _Search:
         self.unit = self._probe()
         # a refuted root gets the empty covered clause, so it is a leaf whose value is False
         self.back = [[]] if self.refuted else [[lit[l] for l in c] for c in formula.matrix.backdoor]
+        self.covered = [False] * len(entries)  # the positions of the variables in a covered clause
+        for c in self.back:
+            for l in c:
+                self.covered[l >> 1] = True
+        self.moves = 0  # bumped whenever a covered variable is assigned or unassigned
+        self.seen, self.last = -1, None  # moves at _cover's last scan, and what it found
 
     def _probe(self) -> list:
         """Derivable units by failed-literal probing: -l fails, reaching a
@@ -228,9 +235,13 @@ class _Search:
         """Assign an arm's pivot literal and the units it derives."""
         pivot, new = arm
         self.cursor = pivot >> 1  # the outermost unassigned variable, at the arm's node
+        val, trail, covered = self.val, self.trail, self.covered
         for l in [pivot] + [t for t in new if t != pivot]:
-            self.val[l >> 1] = 1 - (l & 1)
-            self.trail.append(l >> 1)
+            i = l >> 1
+            val[i] = 1 - (l & 1)
+            trail.append(i)
+            if covered[i]:
+                self.moves += 1
 
     @property
     def state(self) -> int:
@@ -238,12 +249,23 @@ class _Search:
 
     @state.setter
     def state(self, mark: int) -> None:  # unassign what was assigned since the mark
-        while len(self.trail) > mark:
-            self.val[self.trail.pop()] = -1
+        val, trail, covered = self.val, self.trail, self.covered
+        while len(trail) > mark:
+            i = trail.pop()
+            val[i] = -1
+            if covered[i]:
+                self.moves += 1
 
     def _cover(self):
-        """None when a covered clause is falsified, else the unassigned
-        variables of the covered clauses not yet satisfied."""
+        """None when a covered clause is falsified, else both literals of
+        every unassigned variable of the covered clauses not yet satisfied.
+        Only an assignment to a covered variable can change this, so it is
+        scanned again only after `moves` has changed."""
+        if self.seen != self.moves:
+            self.seen, self.last = self.moves, self._scan()
+        return self.last
+
+    def _scan(self):
         val = self.val
         out = set()
         for c in self.back:
@@ -251,7 +273,7 @@ class _Search:
             for l in c:
                 x = val[l >> 1]
                 if x < 0:
-                    free.append(l >> 1)
+                    free += l, l ^ 1
                 elif x != l & 1:
                     break
             else:
@@ -303,7 +325,7 @@ class _Search:
         exist = not self.univ[cursor]
         if len(live) < 2:
             return (exist, live[0], None) if live and exist else False
-        free = [b for b in (1, 0) if not any(t >> 1 in cover for t in arms[b][1])]
+        free = [b for b in (1, 0) if cover.isdisjoint(arms[b][1])]
         if free:
             return exist, arms[free[0] if exist else 1 - free[0]], None
         return exist, arms[0], arms[1]

@@ -4,6 +4,9 @@ A matrix of positive clauses plus negative units (or its mirror image) is
 solved by backdoor.search with the QBF unit and monotone-literal rules of
 Cadoli, Giovanardi and Schaerf (1998) at every node: a variable they leave
 has a negative literal in a covered clause, so only covered ones branch.
+A node applies the rules to a list of clauses, so a leaf builds no
+formula; a branching node rebuilds the residual formula once, with every
+assignment the rules made, and each move rebuilds it once more.
 
 An engine's public function runs backdoor.verify_partition, then a private
 core on the formula and its cover; _ENGINES maps each class to its core.
@@ -22,7 +25,7 @@ from itertools import compress
 
 from .backdoor import SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor, search, verify_partition
 from .errors import CapError, ClassError
-from .formula import EXISTS, FORALL, QbfFormula, apply_assignment, require_quantified
+from .formula import EXISTS, FORALL, QbfFormula, _substitute, apply_assignment, require_quantified
 from .oracle import BRUTE_CAP, eval_bruteforce
 from .affine import _solve_aff, solve_aff  # noqa: F401  (bench/tracer.py wraps solve_aff here)
 from .solver2cnf import _solve as _solve_2cnf, solve as solve_2cnf  # noqa: F401  (and solve_2cnf)
@@ -41,17 +44,22 @@ class Verdict:
 class _Sign:
     """The residual game of a sign-uniform matrix, for backdoor.search: the
     state is the residual formula, an arm assigns its outermost variable,
-    and `good` (1 for posneg, 0 for its mirror) makes tractable literals true."""
+    and `good` (1 for posneg, 0 for its mirror) makes tractable literals true.
+    A node runs its rounds on a list of clauses and a list of the variables
+    left, so a leaf builds no formula and a branch builds one, with every
+    assignment its rounds made."""
 
     def __init__(self, formula: QbfFormula, good: int):
         self.state, self.good = formula, good
+        self.quantifier = dict(formula.prefix.entries)  # every variable is quantified
 
     def node(self):
-        f, good = self.state, self.good
-        while True:  # a round: collect every unit, or else every monotone move, then rebuild once
-            atoms = f.matrix.atoms()
+        f, quantifier = self.state, self.quantifier
+        atoms = f.matrix.atoms()
+        left = [v for v, _ in f.prefix.entries]  # outermost first
+        tau = {}
+        while True:  # a round: collect every unit, or else every monotone move, then substitute once
             short = [*compress(atoms, map((2).__gt__, map(len, atoms)))]  # the units and empty clauses
-            quantifier = dict(f.prefix.entries)  # every variable is quantified
             units = {abs(l): 1 if l > 0 else 0 for (l,) in short} if all(short) else None
             if units is None or FORALL in map(quantifier.__getitem__, units):
                 return False
@@ -59,16 +67,21 @@ class _Sign:
                 return True
             if not units:  # a monotone variable: its owner makes its literals true, the opponent false
                 lits = set().union(*atoms)
-                units = {v: int((v in lits) == (q == EXISTS)) for v, q in f.prefix.entries
+                units = {v: int((v in lits) == (quantifier[v] == EXISTS)) for v in left
                          if v not in lits or -v not in lits}
                 if not units:
                     break
             # units x and -x overwrite each other; the next round sees the empty clause
-            f = apply_assignment(f, units)
-        self.state = f  # every variable left has both signs, so it lies in a covered clause
-        v, q = f.prefix.entries[0]
-        first = good if q == EXISTS else 1 - good
-        return q == EXISTS, {v: first}, {v: 1 - first}
+            true = {v if b else -v for v, b in units.items()}
+            atoms = _substitute(atoms, true, {-l for l in true})
+            left = [v for v in left if v not in units]
+            tau.update(units)
+        if tau:
+            self.state = apply_assignment(f, tau)
+        v = left[0]  # it has both signs, so it lies in a covered clause
+        exist = quantifier[v] == EXISTS
+        first = self.good if exist else 1 - self.good
+        return exist, {v: first}, {v: 1 - first}
 
     def play(self, arm) -> None:
         self.state = apply_assignment(self.state, arm)

@@ -1,16 +1,21 @@
 import random
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from qbd import solver2cnf
+from qbd.backdoor import rank_classes
 from qbd.errors import ClassError, DomainError
 from qbd.formula import EXISTS, FORALL, Matrix, Prefix, QbfFormula, apply_assignment, clause
 from qbd.oracle import eval_bruteforce
+from qbd.qdimacs import parse_qdimacs
 from qbd.solver2cnf import ACCEPT, BRANCH, FOLLOW, REJECT, SolveStats, solve, step
 from qbd.twocnf import eval_q2cnf, prop
 from helpers import random_prefix, running_example
+from strategies import PROPERTY, formulas
 
 
 def instance(prefix, tractable, backdoor=()):
@@ -276,3 +281,88 @@ class TestDeepRootGames:
         f = QbfFormula(Prefix(((1, FORALL),) + self.INNER + ((2, FORALL),)), Matrix(tuple(fan), ()))
         assert structurally_false(f)
         assert solve(f) == (False, SolveStats(leaves=1))
+
+
+def scanned_cover(search):
+    """What `_Search._cover` must give, scanned afresh from `val` and `back`:
+    None when a covered clause is false, else both literals of every
+    unassigned variable of the covered clauses not yet satisfied."""
+    out = set()
+    for c in search.back:
+        if any(search.val[l >> 1] == 1 - (l & 1) for l in c):
+            continue
+        free = [l for l in c if search.val[l >> 1] < 0]
+        if not free:
+            return None
+        out.update(free, [l ^ 1 for l in free])
+    return out
+
+
+def watch_cover(mp):
+    """Check the cached cover at every node against a fresh scan, and after
+    every undo that the cache, if it still claims to be current, is right;
+    returns the counts of nodes and scans."""
+    search = solver2cnf._Search
+    node, scan, state = search.node, search._scan, search.state
+    counts = Counter()
+
+    def checked_node(self):
+        counts["nodes"] += 1
+        assert self._cover() == scanned_cover(self)
+        return node(self)
+
+    def counted_scan(self):
+        counts["scans"] += 1
+        return scan(self)
+
+    def undo(self, mark):
+        state.fset(self, mark)
+        if self.seen == self.moves:
+            assert self.last == scanned_cover(self)
+
+    mp.setattr(search, "node", checked_node)
+    mp.setattr(search, "_scan", counted_scan)
+    mp.setattr(search, "state", property(state.fget, undo))
+    return counts
+
+
+def pool(monkeypatch, seed, small):
+    """The parsed q2cnf-branch pool of the benchmark generator (bench/gen.py)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import gen
+
+    return [parse_qdimacs(gen.instance("q2cnf-branch", seed, i, small).text)
+            for i in range(gen.POOL["q2cnf-branch"])]
+
+
+class TestCoverCache:
+    """`_cover` scans the covered clauses again only after a covered
+    variable was assigned or unassigned."""
+
+    @pytest.mark.parametrize("seed", (101, 7))
+    def test_cached_cover_is_a_fresh_scan_on_the_small_pool(self, monkeypatch, seed):
+        instances = pool(monkeypatch, seed, small=True)
+        counts = watch_cover(monkeypatch)
+        branching = 0
+        for f in instances:
+            value, stats = solve(f)
+            assert value == eval_bruteforce(f), f
+            branching += stats.branch_nodes > 0
+        assert branching > 200
+        assert counts["scans"] < counts["nodes"]
+
+    @PROPERTY
+    @given(formulas())
+    def test_cached_cover_is_a_fresh_scan(self, f):
+        for bd in rank_classes(f, ("2cnf",)):
+            expected = reference_solve(bd.formula)
+            with pytest.MonkeyPatch.context() as mp:
+                watch_cover(mp)
+                assert solve(bd.formula) == expected
+
+    def test_scan_runs_at_fewer_than_half_of_the_nodes(self, monkeypatch):
+        f = pool(monkeypatch, 101, small=False)[0]
+        counts = watch_cover(monkeypatch)
+        value, stats = solve(f)
+        assert stats.branch_nodes > 0
+        assert 2 * counts["scans"] < counts["nodes"], counts

@@ -2,6 +2,7 @@ import random
 import re
 import time
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from qbd import backdoor, oracle
+from qbd import backdoor, oracle, special
 from qbd.affine import solve_aff
 from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, detect_cc_backdoor, rank_classes
 from qbd.errors import CapError, ClassError, DomainError
@@ -139,6 +140,27 @@ class TestSignEngines:
                 value, stats = engine(detect_cc_backdoor(f, kind).formula)
                 assert value == expected, (kind, f)
                 assert stats.leaves <= 1 << stats.initial_k
+
+    def test_a_leaf_builds_no_formula(self, monkeypatch):
+        """A node runs its rounds without `apply_assignment`; only a branch
+        rebuilds the residual formula, once, and each of its two plays
+        once more."""
+        calls = []
+        real = special.apply_assignment
+        monkeypatch.setattr(special, "apply_assignment", lambda f, tau: calls.append(tau) or real(f, tau))
+        files = list(random_3cnf_files(monkeypatch, (12, 14, 16, 18, 20), 4))
+        import gen  # bench/gen.py, which random_3cnf_files put on the path
+
+        files += [parse_qdimacs(gen.instance("sign-wide", seed, i, small=True).text)
+                  for seed in (101, 7) for i in range(gen.POOL["sign-wide"])]
+        branching = Counter()
+        for f in files:
+            for kind, engine in (("posneg", solve_posneg), ("dual-posneg", solve_dual_posneg)):
+                calls.clear()
+                value, stats = engine(detect_cc_backdoor(f, kind).formula)
+                assert len(calls) <= 3 * stats.branch_nodes, (kind, f)
+                branching[stats.branch_nodes > 0] += 1
+        assert branching[True] > 200 and branching[False] > 100, branching
 
     def test_dual_posneg_agrees_with_the_naive_recursion(self):
         rng = random.Random(42)
