@@ -7,14 +7,27 @@ with qdimacs, detect covers with backdoor, decide with special.dispatch
 oracle.eval_bruteforce.
 """
 
+from importlib import import_module
+
 from .backdoor import BaseClass, CcBackdoor, SOLVABLE, detect_cc_backdoor, rank_classes, verify_partition
 from .errors import QbdError
 from .formula import AffineEquation, Matrix, Prefix, QbfFormula, apply_assignment, clause
-from .oracle import eval_bruteforce, extract_strategy, verify_strategy
 from .qdimacs import parse_qdimacs, parse_relations, write_qdimacs, write_relations
 from .special import Verdict, dispatch
 
 __version__ = "0.1.0"
+
+# the oracle is a yardstick, not part of a solve: its names load it on first read
+_LAZY = {name: ("oracle", name) for name in ("eval_bruteforce", "extract_strategy", "verify_strategy")}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAZY[name]
+    globals()[name] = value = getattr(import_module(f"{__name__}.{module}"), attr)
+    return value
+
 
 __all__ = [
     "AffineEquation",

@@ -30,6 +30,9 @@ _DUAL = {"2cnf": "2cnf", "aff": "aff", **_MIRROR, **{v: k for k, v in _MIRROR.it
 # to these.
 SOLVABLE = ("2cnf", "aff", "posneg", "dual-posneg")
 
+# The default variable budget of brute force (special.resolve_brute_cap).
+BRUTE_CAP = 24
+
 DEFAULT_CANDIDATES = _KINDS
 
 

@@ -10,12 +10,17 @@ backdoor.SOLVABLE.
 
 Configuration wins in the order flags > environment > defaults. The
 environment knob is QBD_BRUTE_CAP (variable budget for the brute-force
-fallback, default oracle.BRUTE_CAP); `solve` and `bench` read it through
-special.resolve_brute_cap. The same cap bounds the truth table behind
-`solve --emit-strategy`.
+fallback, default backdoor.BRUTE_CAP, also read as oracle.BRUTE_CAP);
+`solve` and `bench` read it through special.resolve_brute_cap. The same
+cap bounds the truth table behind `solve --emit-strategy`.
 
-`classify`, `generate`, `transform` and `bench` import qbd.algebra and
-qbd.reductions when they run, so that `solve` does not load them.
+Each module that serves one engine or one subcommand loads when it is
+first used. `import qbd.cli` loads errors, formula, backdoor, qdimacs and
+special. `solve` then loads solver2cnf for the 2-CNF engine (twocnf only
+serves solver2cnf.step), affine for the aff engine, oracle for brute force
+and for `--emit-strategy`, and nothing more for the sign engines.
+`kernelize` loads affine; `classify`, `generate`, `transform` and `bench`
+load algebra and reductions.
 """
 
 from __future__ import annotations
@@ -27,11 +32,9 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 
-from .affine import AffSystem, kernelize
 from .backdoor import SOLVABLE, BaseClass, detect_cc_backdoor
 from .errors import CapError, ParamError, ParseError, PreconditionError, QbdError
 from .formula import Matrix, QbfFormula
-from .oracle import extract_strategy
 from .qdimacs import parse_qdimacs, parse_relations, write_qdimacs
 from .special import dispatch, resolve_brute_cap
 
@@ -97,6 +100,8 @@ def cmd_solve(args) -> int:
     print(f"c max-depth {verdict.stats.max_depth}")
     print(f"c wall-time {elapsed:.6f}")
     if args.emit_strategy:
+        from .oracle import extract_strategy
+
         try:
             tree = extract_strategy(formula, brute_cap)
             _emit(tree.to_text() + "\n", args.emit_strategy)
@@ -119,6 +124,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_kernelize(args) -> int:
+    from .affine import AffSystem, kernelize
+
     formula = _load_formula(args.file, "aff")
     try:
         kr = kernelize(AffSystem.from_formula(formula), formula.matrix.backdoor_variables())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .backdoor import BRUTE_CAP
 from .errors import CapError, InternalError, ShapeError
 from .formula import (
     EXISTS,
@@ -24,8 +25,6 @@ from .formula import (
     eval_matrix,
     require_quantified,
 )
-
-BRUTE_CAP = 24
 
 
 def _repeat(block: int, span: int, total: int) -> int:

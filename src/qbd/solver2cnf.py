@@ -30,13 +30,25 @@ the decisions that `step` makes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 
 from .backdoor import BaseClass, SolveStats, search, verify_partition  # noqa: F401  (SolveStats: tests import it here)
 from .errors import InternalError
 from .formula import FORALL, QbfFormula
 # unused here, but bench/tracer.py wraps this name on this module
 from .formula import apply_assignment  # noqa: F401
-from .twocnf import eval_q2cnf, look_ahead
+
+# twocnf serves step() alone, so a solve does not load it; bench/tracer.py
+# reads these names here, and each loads its module on first read
+_LAZY = {"eval_q2cnf": ("twocnf", "eval_q2cnf"), "look_ahead": ("twocnf", "look_ahead")}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAZY[name]
+    globals()[name] = value = getattr(import_module(f"{__package__}.{module}"), attr)
+    return value
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -60,6 +72,8 @@ class StepDecision:
 
 
 def _decision(formula: QbfFormula) -> StepDecision:
+    from .twocnf import eval_q2cnf, look_ahead
+
     back = formula.matrix.backdoor
     if any(not c for c in back):
         return StepDecision(REJECT, "a covered clause is already falsified")

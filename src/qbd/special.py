@@ -13,6 +13,9 @@ core on the formula and its cover; _ENGINES maps each class to its core.
 dispatch() picks an engine: a forced one, or the smallest detected cover
 among the solvable classes, with brute force as the fallback when no cover
 beats plain enumeration, and hands the core the partition its scan built.
+The 2-CNF and aff cores and brute force import their modules (solver2cnf,
+affine, oracle) the first time they run, through one cached loader, so a
+solve loads only the engine it runs.
 """
 
 from __future__ import annotations
@@ -20,15 +23,32 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from importlib import import_module
 from itertools import compress
 
-from .backdoor import SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor, search, verify_partition
+from .backdoor import (BRUTE_CAP, SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor,
+                       search, verify_partition)
 from .errors import CapError, ClassError
 from .formula import EXISTS, FORALL, QbfFormula, _substitute, apply_assignment, require_quantified
-from .oracle import BRUTE_CAP, eval_bruteforce
-from .affine import _solve_aff, solve_aff  # noqa: F401  (bench/tracer.py wraps solve_aff here)
-from .solver2cnf import _solve as _solve_2cnf, solve as solve_2cnf  # noqa: F401  (and solve_2cnf)
+
+# names this module once imported, which bench/tracer.py reads: each loads its module on first read
+_LAZY = {"solve_2cnf": ("solver2cnf", "solve"), "solve_aff": ("affine", "solve_aff"),
+         "eval_bruteforce": ("oracle", "eval_bruteforce")}
+
+
+@cache
+def _module(name: str):
+    """The package module `name`, imported the first time a solve needs it."""
+    return import_module(f"{__package__}.{name}")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAZY[name]
+    globals()[name] = value = getattr(_module(module), attr)
+    return value
 
 
 @dataclass(frozen=True)
@@ -102,13 +122,21 @@ def solve_dual_posneg(formula: QbfFormula):
     return _solve_sign(formula, verify_partition(formula, BaseClass("dual-posneg")), 0)
 
 
+def _solve_2cnf(formula: QbfFormula, cover: frozenset):
+    return _module("solver2cnf")._solve(formula, cover)
+
+
+def _solve_aff(formula: QbfFormula, cover: frozenset):
+    return _module("affine")._solve_aff(formula, cover)
+
+
 # one engine core per solvable class, in the order of SOLVABLE: (formula, cover) -> (value, SolveStats)
 _ENGINES = dict(zip(SOLVABLE, (_solve_2cnf, _solve_aff, partial(_solve_sign, good=1), partial(_solve_sign, good=0))))
 
 
 def resolve_brute_cap(flag: int = None) -> int:
     """The variable budget for brute force: the flag if given, else
-    QBD_BRUTE_CAP, else oracle.BRUTE_CAP. A negative budget is refused."""
+    QBD_BRUTE_CAP, else backdoor.BRUTE_CAP. A negative budget is refused."""
     source = "the brute-force cap"
     if flag is None:
         raw = os.environ.get("QBD_BRUTE_CAP")
@@ -125,7 +153,7 @@ def resolve_brute_cap(flag: int = None) -> int:
 
 def _brute(formula: QbfFormula, cap) -> Verdict:
     n = len(formula.prefix)
-    value = eval_bruteforce(formula, cap=cap)
+    value = _module("oracle").eval_bruteforce(formula, cap=cap)
     stats = SolveStats(branch_nodes=0, leaves=1 << n, max_depth=n, initial_k=n)
     return Verdict(value, "brute", stats)
 

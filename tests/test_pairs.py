@@ -73,3 +73,37 @@ def test_an_existing_trajectory_file_is_not_overwritten(pairs, monkeypatch, tmp_
                        "--label", "x"])
     assert code == 2
     assert (tmp_path / "BENCH_x.json").read_text() == "{}\n"
+
+
+def test_cold_start_conditions_are_recorded_and_a_one_sided_cache_warns(pairs, monkeypatch, tmp_path, capsys):
+    sides = {side: tmp_path / side for side in pairs.SIDES}
+    for root in sides.values():
+        (root / "src" / "qbd").mkdir(parents=True)
+    (sides["parent"] / "src" / "qbd" / "__pycache__").mkdir()  # cached before the first run
+
+    def run_once(checkout, *a):
+        (checkout / "src" / "qbd" / "__pycache__").mkdir(exist_ok=True)  # every run writes one
+        return pairs.parse_result(report_text(1.0, 100.0))
+
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "load_spec", lambda: {"run_seconds": 1, **SPEC})
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    code = pairs.main([str(sides["parent"]), str(sides["change"]), "--workload", "w", "--seed", "1",
+                       "--pairs", "2", "--label", "x"])
+    assert code == 0
+    doc = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert doc["cold_start"] == {
+        "python": pairs.sys.version,
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "pycache": {"parent": {"before": True, "after": True}, "change": {"before": False, "after": True}},
+    }
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(warnings) == 1 and "__pycache__ differs" in warnings[0]
+
+
+def test_like_caches_on_both_sides_give_no_warning(pairs, tmp_path):
+    same = {side: False for side in pairs.SIDES}
+    doc, warning = pairs.cold_start(same, same)
+    assert warning is None
+    assert doc["pycache"]["change"] == {"before": False, "after": False}

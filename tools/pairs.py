@@ -10,7 +10,12 @@ For every end-to-end metric of that BENCHMARK.json it prints each side's
 median and quartiles and the pairs the change won (a tie counts for
 neither side), and writes the summaries and every run's metrics to
 BENCH_<label>.json at the root of this checkout. It refuses to overwrite
-such a file: a trajectory file is added, never edited. Standard library
+such a file: a trajectory file is added, never edited. The file also
+records the cold-start conditions of the runs: the Python version, the
+value of PYTHONDONTWRITEBYTECODE, and whether each side's
+src/qbd/__pycache__ existed before its first run and after its last. A
+bytecode cache on one side alone fakes or hides a start-up gain, so a
+difference between the sides is printed as a warning. Standard library
 only.
 """
 
@@ -19,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -51,6 +57,26 @@ def source_digest(checkout: Path) -> str:
     for path in sorted((checkout / "src" / "qbd").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     return h.hexdigest()
+
+
+def has_bytecode(checkout: Path) -> bool:
+    """Whether the checkout holds a bytecode cache of the package, which
+    lets a cold `qbd solve` skip compiling it."""
+    return (checkout / "src" / "qbd" / "__pycache__").is_dir()
+
+
+def cold_start(before: dict, after: dict) -> tuple:
+    """The cold-start record of a set of runs, from each side's
+    has_bytecode before its first run and after its last, and a warning
+    line when the sides differ (else None)."""
+    caches = {side: {"before": before[side], "after": after[side]} for side in SIDES}
+    doc = {"python": sys.version, "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+           "pycache": caches}
+    if caches["parent"] == caches["change"]:
+        return doc, None
+    seen = "; ".join(f"{side} before {c['before']}, after {c['after']}" for side, c in caches.items())
+    return doc, (f"pairs: warning: src/qbd/__pycache__ differs between the sides ({seen}); "
+                 "a bytecode cache on one side alone fakes or hides a start-up gain")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -121,6 +147,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     sets = [{"workload": w, "seed": n, "runs": []} for w in args.workload for n in args.seed]
+    before = {side: has_bytecode(checkouts[side]) for side in SIDES}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for s in sets:
@@ -133,6 +160,9 @@ def main(argv=None) -> int:
                     print(f"pairs: {exc}; nothing written", file=sys.stderr)
                     return 1
             s["runs"].append(pair)
+    conditions, warning = cold_start(before, {side: has_bytecode(checkouts[side]) for side in SIDES})
+    if warning:
+        print(warning, file=sys.stderr)
     for s in sets:
         s["summary"] = summarise(s["runs"], spec)
         print(f"workload {s['workload']}  seed {s['seed']}  pairs {args.pairs}  run_seconds {seconds:g}")
@@ -140,6 +170,7 @@ def main(argv=None) -> int:
     doc = {
         "label": args.label,
         "run_seconds": seconds,
+        "cold_start": conditions,
         "source_sha256": {side: source_digest(checkouts[side]) for side in SIDES},
         "sets": [{k: s[k] for k in ("workload", "seed", "summary", "runs")} for s in sets],
     }
