@@ -140,11 +140,11 @@ class Prefix:
     @classmethod
     def from_string(cls, text: str) -> "Prefix":
         """Parse a compact prefix like "e1 a2 e3"."""
-        entries = []
-        for tok in text.split():
-            q, v = tok[0], tok[1:]
-            entries.append((int(v), q))
-        return cls(tuple(entries))
+        toks = text.split()
+        for tok in toks:
+            if not (tok[1:].isascii() and tok[1:].isdigit()):  # __post_init__ checks the quantifier
+                raise DomainError(f"bad prefix token {tok!r}: want e or a, then ASCII digits")
+        return cls(tuple((int(tok[1:]), tok[0]) for tok in toks))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -301,13 +301,11 @@ def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
     Assigned variables leave the prefix. Atoms keep their partition and
     relative order.
     """
-    vals = [*tau.values()]  # compared, never hashed: a value may be unhashable
-    if not (tau.keys() <= formula.prefix._pos.keys() and vals.count(0) + vals.count(1) == len(vals)):
-        for v, b in tau.items():  # some entry is bad: name the first
-            if v not in formula.prefix:
-                raise DomainError(f"assigned variable {v} not in prefix")
-            if b not in (0, 1):
-                raise DomainError(f"assignment value for {v} must be 0 or 1")
+    for v, b in tau.items():
+        if v not in formula.prefix:
+            raise DomainError(f"assigned variable {v} not in prefix")
+        if b not in (0, 1):
+            raise DomainError(f"assignment value for {v} must be 0 or 1")
     true = {v if b else -v for v, b in tau.items()}
     false = {-l for l in true}
     tract = []

@@ -244,7 +244,7 @@ def mis_bruteforce(g: PartitionedGraph, cap: int = 1 << 20) -> bool:
     return pick(0, [])
 
 
-MAX_ATOMS = 10**6  # the most atoms gen_random draws; tests and examples draw under a hundred
+MAX_ATOMS = 10**6  # the most atoms, and variables, gen_random draws; tests and examples draw under a hundred
 
 
 @dataclass(frozen=True)
@@ -306,6 +306,8 @@ def gen_random(params: GenParams, seed: int) -> QbfFormula:
     inside the class, the covered clauses over a designated k-subset."""
     if params.n < 0 or params.k < 0 or params.k > params.n:
         raise ParamError(f"need 0 <= k <= n, got n={params.n} k={params.k}")
+    if params.n > MAX_ATOMS:  # one prefix entry per variable
+        raise ParamError(f"n={params.n} variables is more than {MAX_ATOMS}")
     if params.tractable_density < 0 or params.backdoor_density < 0:
         raise ParamError("densities must be nonnegative")
     n_tract = params.tractable_density * params.n

@@ -4,9 +4,7 @@ A matrix of positive clauses plus negative units (or its mirror image) is
 solved by backdoor.search with the QBF unit and monotone-literal rules of
 Cadoli, Giovanardi and Schaerf (1998) at every node: a variable they leave
 has a negative literal in a covered clause, so only covered ones branch.
-A node applies the rules to a list of clauses, so a leaf builds no
-formula; a branching node rebuilds the residual formula once, with every
-assignment the rules made, and each move rebuilds it once more.
+The search plays on the list of clauses left, so a solve builds no formula.
 
 An engine's public function runs backdoor.verify_partition, then a private
 core on the formula and its cover; _ENGINES maps each class to its core.
@@ -30,7 +28,9 @@ from itertools import compress
 from .backdoor import (BRUTE_CAP, SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor,
                        search, verify_partition)
 from .errors import CapError, ClassError
-from .formula import EXISTS, FORALL, QbfFormula, _substitute, apply_assignment, require_quantified
+from .formula import EXISTS, FORALL, QbfFormula, _substitute, require_quantified
+# unused here, but bench/tracer.py wraps this name on this module
+from .formula import apply_assignment  # noqa: F401
 
 # names this module once imported, which bench/tracer.py reads: each loads its module on first read
 _LAZY = {"solve_2cnf": ("solver2cnf", "solve"), "solve_aff": ("affine", "solve_aff"),
@@ -63,21 +63,17 @@ class Verdict:
 
 class _Sign:
     """The residual game of a sign-uniform matrix, for backdoor.search: the
-    state is the residual formula, an arm assigns its outermost variable,
-    and `good` (1 for posneg, 0 for its mirror) makes tractable literals true.
-    A node runs its rounds on a list of clauses and a list of the variables
-    left, so a leaf builds no formula and a branch builds one, with every
-    assignment its rounds made."""
+    state is the list of clauses left, never changed in place, an arm is
+    the literal its move makes true, and `good` (1 for posneg, 0 for its
+    mirror) makes tractable literals true."""
 
     def __init__(self, formula: QbfFormula, good: int):
-        self.state, self.good = formula, good
+        self.state, self.good = formula.matrix.atoms(), good
         self.quantifier = dict(formula.prefix.entries)  # every variable is quantified
+        self.position = formula.prefix.position
 
     def node(self):
-        f, quantifier = self.state, self.quantifier
-        atoms = f.matrix.atoms()
-        left = [v for v, _ in f.prefix.entries]  # outermost first
-        tau = {}
+        atoms, quantifier = self.state, self.quantifier
         while True:  # a round: collect every unit, or else every monotone move, then substitute once
             short = [*compress(atoms, map((2).__gt__, map(len, atoms)))]  # the units and empty clauses
             units = {abs(l): 1 if l > 0 else 0 for (l,) in short} if all(short) else None
@@ -87,24 +83,20 @@ class _Sign:
                 return True
             if not units:  # a monotone variable: its owner makes its literals true, the opponent false
                 lits = set().union(*atoms)
-                units = {v: int((v in lits) == (quantifier[v] == EXISTS)) for v in left
-                         if v not in lits or -v not in lits}
+                units = {abs(l): int((l > 0) == (quantifier[abs(l)] == EXISTS)) for l in lits if -l not in lits}
                 if not units:
                     break
             # units x and -x overwrite each other; the next round sees the empty clause
             true = {v if b else -v for v, b in units.items()}
             atoms = _substitute(atoms, true, {-l for l in true})
-            left = [v for v in left if v not in units]
-            tau.update(units)
-        if tau:
-            self.state = apply_assignment(f, tau)
-        v = left[0]  # it has both signs, so it lies in a covered clause
+        self.state = atoms
+        v = min({abs(l) for l in lits}, key=self.position)  # it has both signs: it is covered
         exist = quantifier[v] == EXISTS
-        first = self.good if exist else 1 - self.good
-        return exist, {v: first}, {v: 1 - first}
+        lit = v if exist == self.good else -v  # the existential tries the good sign first, the universal the other
+        return exist, lit, -lit
 
-    def play(self, arm) -> None:
-        self.state = apply_assignment(self.state, arm)
+    def play(self, lit) -> None:
+        self.state = _substitute(self.state, {lit}, {-lit})
 
 
 def _solve_sign(formula: QbfFormula, cover: frozenset, good: int):

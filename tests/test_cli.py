@@ -301,6 +301,14 @@ class TestGenerate:
         assert captured.out == ""
         assert captured.err == "qbd: densities give 3000000000 uncovered and 1 covered atoms, more than 1000000\n"
 
+    def test_too_many_variables_is_one_error_line(self, capsys):
+        args = ["generate", "random", "--n", "3000000000", "--k", "0", "--seed", "1",
+                "--tractable-density", "0", "--backdoor-density", "0"]
+        assert cli.run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qbd: n=3000000000 variables is more than 1000000\n"
+
     def test_mis_horn(self, tmp_path, capsys):
         g = tmp_path / "graph.txt"
         g.write_text(GRAPH_TEXT)

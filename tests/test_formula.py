@@ -83,6 +83,12 @@ class TestPrefix:
         assert p.is_existential(3) and p.is_universal(2)
         assert 2 in p and 9 not in p
 
+    def test_from_string_takes_a_quantifier_then_ascii_digits(self):
+        for tok in ("e", "ea", "a+2", "e1_0", "e\u0661", "x1", "1", "e-3", "e 1a"):
+            with pytest.raises(DomainError):
+                Prefix.from_string(f"e7 {tok}")
+        assert Prefix.from_string(" e10\ta02 ").entries == ((10, EXISTS), (2, FORALL))
+
     def test_duplicate_variable_rejected(self):
         with pytest.raises(DomainError):
             Prefix(((1, EXISTS), (1, FORALL)))

@@ -22,9 +22,9 @@ SPEC = {"end_to_end": [
 ]}
 
 
-def report_text(p50, ips):
+def report_text(p50, ips, failed=0):
     """A `bench/run.py` report: readable lines, then the result as JSON."""
-    line = json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+    line = json.dumps({"correct": not failed, "attempted": 10, "failed": failed, "metrics": {
         "solve_p50_ms": {"value": p50, "unit": "ms"},
         "throughput_ips": {"value": ips, "unit": "1/s"},
     }})
@@ -73,6 +73,24 @@ def test_an_existing_trajectory_file_is_not_overwritten(pairs, monkeypatch, tmp_
                        "--label", "x"])
     assert code == 2
     assert (tmp_path / "BENCH_x.json").read_text() == "{}\n"
+
+
+def test_a_run_with_a_wrong_answer_stops_and_writes_nothing(pairs, monkeypatch, tmp_path, capsys):
+    """bench/run.py exits 0 on a wrong answer; its result line says so."""
+    reports = iter([report_text(1.0, 100.0), report_text(1.0, 100.0, failed=3)])
+
+    def run(cmd, cwd, **kw):
+        return pairs.subprocess.CompletedProcess(cmd, 0, next(reports), "")
+
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    monkeypatch.setattr(pairs, "load_spec", lambda: {"run_seconds": 1, **SPEC})
+    code = pairs.main([str(tmp_path), str(tmp_path), "--workload", "sign-wide", "--seed", "101",
+                       "--pairs", "1", "--label", "x"])
+    assert code == 1
+    assert not (tmp_path / "BENCH_x.json").exists()
+    errors = [line for line in capsys.readouterr().err.splitlines() if "pair 0" not in line]
+    assert errors == ["pairs: change: sign-wide seed 101: 3/10 solves failed; nothing written"]
 
 
 def test_cold_start_conditions_are_recorded_and_a_one_sided_cache_warns(pairs, monkeypatch, tmp_path, capsys):

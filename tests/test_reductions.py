@@ -17,6 +17,7 @@ from qbd.formula import (
 )
 from qbd.oracle import eval_bruteforce
 from qbd.reductions import (
+    MAX_ATOMS,
     GenParams,
     PartitionedGraph,
     dualize,
@@ -238,6 +239,8 @@ class TestGenRandom:
                 gen_random(GenParams(n=n, k=k, tractable_density=dt, backdoor_density=db), 1)
         with pytest.raises(ParamError, match="'e'/'a'"):
             gen_random(GenParams(n=2, k=1, prefix_pattern="eq"), 0)
+        with pytest.raises(ParamError, match=r"^n=1000001 variables is more than 1000000$"):
+            gen_random(GenParams(n=MAX_ATOMS + 1, k=0, tractable_density=0, backdoor_density=0), 1)
         with pytest.raises(UnknownTag):
             gen_random(GenParams(n=2, k=1, tag="weird"), 0)
 

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from qbd import backdoor, oracle, special
+from qbd import backdoor, formula, oracle, special
 from qbd.affine import solve_aff
 from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, detect_cc_backdoor, rank_classes
 from qbd.errors import CapError, ClassError, DomainError
@@ -142,23 +142,27 @@ class TestSignEngines:
                 assert stats.leaves <= 1 << stats.initial_k
 
     def test_a_leaf_builds_no_formula(self, monkeypatch):
-        """A node runs its rounds without `apply_assignment`; only a branch
-        rebuilds the residual formula, once, and each of its two plays
-        once more."""
+        """The search plays on the list of clauses: no node and no move of
+        a sign solve calls `apply_assignment`, under either of its names,
+        or builds a QbfFormula."""
         calls = []
-        real = special.apply_assignment
-        monkeypatch.setattr(special, "apply_assignment", lambda f, tau: calls.append(tau) or real(f, tau))
+        for owner in (special, formula):
+            real = owner.apply_assignment
+            monkeypatch.setattr(owner, "apply_assignment", lambda f, tau, real=real: calls.append(tau) or real(f, tau))
         files = list(random_3cnf_files(monkeypatch, (12, 14, 16, 18, 20), 4))
         import gen  # bench/gen.py, which random_3cnf_files put on the path
 
         files += [parse_qdimacs(gen.instance("sign-wide", seed, i, small=True).text)
                   for seed in (101, 7) for i in range(gen.POOL["sign-wide"])]
         branching = Counter()
+        init = QbfFormula.__init__
         for f in files:
             for kind, engine in (("posneg", solve_posneg), ("dual-posneg", solve_dual_posneg)):
-                calls.clear()
-                value, stats = engine(detect_cc_backdoor(f, kind).formula)
-                assert len(calls) <= 3 * stats.branch_nodes, (kind, f)
+                bd = detect_cc_backdoor(f, kind)
+                with monkeypatch.context() as m:
+                    m.setattr(QbfFormula, "__init__", lambda *a, **kw: calls.append(a) or init(*a, **kw))
+                    value, stats = engine(bd.formula)
+                assert not calls, (kind, f)
                 branching[stats.branch_nodes > 0] += 1
         assert branching[True] > 200 and branching[False] > 100, branching
 

@@ -80,12 +80,17 @@ def cold_start(before: dict, after: dict) -> tuple:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `bench/run.py` run, decoded; a run that exits nonzero or
+    reports a wrong answer raises RuntimeError."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
     p = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if p.returncode:
         raise RuntimeError(f"bench/run.py exited {p.returncode} in {checkout}: {p.stderr.strip()[-400:]}")
-    return parse_result(p.stdout)
+    out = parse_result(p.stdout)
+    if not out.get("correct"):  # bench/run.py exits 0 on a wrong answer
+        raise RuntimeError(f"{workload} seed {seed}: {out.get('failed')}/{out.get('attempted')} solves failed")
+    return out
 
 
 def _spread(values: list) -> dict:
@@ -157,7 +162,7 @@ def main(argv=None) -> int:
                 try:
                     pair[side] = run_once(checkouts[side], s["workload"], s["seed"], seconds)
                 except (RuntimeError, ValueError) as exc:
-                    print(f"pairs: {exc}; nothing written", file=sys.stderr)
+                    print(f"pairs: {side}: {exc}; nothing written", file=sys.stderr)
                     return 1
             s["runs"].append(pair)
     conditions, warning = cold_start(before, {side: has_bytecode(checkouts[side]) for side in SIDES})
