@@ -29,8 +29,6 @@ variables: one per equation is forced, the rest are played.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .backdoor import BaseClass, search, verify_partition
 from .errors import (
     ClassError,
@@ -41,24 +39,21 @@ from .errors import (
     PreconditionError,
     QuantifierError,
 )
-from .formula import EXISTS, AffineEquation, Prefix, QbfFormula
+from .formula import EXISTS, AffineEquation, Prefix, QbfFormula, _Record
 
 
-@dataclass(frozen=True)
-class AffSystem:
+class AffSystem(_Record):
     """Parity equations under a prefix. Trivial rows are dropped and
     duplicates collapse to their first occurrence; contradictory empty
     rows are kept as markers. One pass checks, packs and deduplicates the
-    rows; the packed rows are kept beside them."""
+    rows; the packed rows are kept beside them, out of equality and repr."""
 
-    prefix: Prefix
-    rows: tuple
-    _packed: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("prefix", "rows")
 
-    def __post_init__(self):
-        pos = self.prefix._pos
+    def __init__(self, prefix: Prefix, rows: tuple):
+        pos = prefix._pos
         first = {}  # packed row -> its first equation
-        for eq in self.rows:
+        for eq in rows:
             if not isinstance(eq, AffineEquation):
                 raise ClassError(f"affine systems hold equations, got {eq!r}")
             mask = 0
@@ -68,6 +63,7 @@ class AffSystem:
                 mask |= 1 << pos[v]
             first.setdefault((mask, eq.rhs), eq)
         first.pop((0, 0), None)  # the trivial row, as _pivot drops it
+        object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "rows", tuple(first.values()))
         object.__setattr__(self, "_packed", tuple(first))
 
@@ -164,15 +160,17 @@ def elim(system: AffSystem, x: int, i: int) -> AffSystem:
     return AffSystem(system.prefix, tuple(_unpack(system.prefix, rows)))
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(_Record):
     """Kernel of a covered parity game: the prefix restricted to the
     variables that still matter, the reduced system, and per equation the
     (innermost variable, equation) pair that forces it."""
 
-    reduced_prefix: Prefix
-    reduced_system: AffSystem
-    forced: tuple
+    _fields = ("reduced_prefix", "reduced_system", "forced")
+
+    def __init__(self, reduced_prefix: Prefix, reduced_system: AffSystem, forced: tuple):
+        object.__setattr__(self, "reduced_prefix", reduced_prefix)
+        object.__setattr__(self, "reduced_system", reduced_system)
+        object.__setattr__(self, "forced", forced)
 
 
 def kernelize(system: AffSystem, cover) -> KernelResult:

@@ -20,10 +20,10 @@ two arguments are 1; its dual fires iff at least d-1 are.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import ArityError, CapError, DomainError, InternalError, UnknownTag
+from .formula import _Record
 
 FPT = "fpt"
 OPEN_PLUS = "open-dihsb+"
@@ -34,45 +34,45 @@ PARA_PSPACE_HARD = "para-pspace-hard"
 DEFAULT_POLY_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Record):
     """A named set of 0/1 tuples of one arity. Equality ignores the name."""
 
-    name: str = field(compare=False)
-    arity: int = 0
-    tuples: frozenset = frozenset()
+    _fields = ("name", "arity", "tuples")
+    _compared = ("arity", "tuples")
 
-    def __post_init__(self):
-        if self.arity <= 0:
-            raise ArityError(f"arity must be positive, got {self.arity}")
-        for row in self.tuples:
-            if len(row) != self.arity:
-                raise ArityError(f"tuple {row} has length {len(row)}, arity is {self.arity}")
+    def __init__(self, name: str, arity: int = 0, tuples: frozenset = frozenset()):
+        if arity <= 0:
+            raise ArityError(f"arity must be positive, got {arity}")
+        for row in tuples:
+            if len(row) != arity:
+                raise ArityError(f"tuple {row} has length {len(row)}, arity is {arity}")
             if any(b not in (0, 1) for b in row):
                 raise DomainError(f"tuple {row} holds non-bits")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "tuples", tuples)
 
 
-@dataclass(frozen=True)
-class BoolFunction:
+class BoolFunction(_Record):
     """A Boolean function given by its full table.
 
     table[i] is the value on the argument vector spelled by i's bits, first
     argument highest. Equality ignores the name.
     """
 
-    name: str = field(compare=False)
-    arity: int = 0
-    table: tuple = ()
+    _fields = ("name", "arity", "table")
+    _compared = ("arity", "table")
 
-    def __post_init__(self):
-        if self.arity <= 0:
-            raise ArityError(f"arity must be positive, got {self.arity}")
-        if len(self.table) != 1 << self.arity:
-            raise ArityError(
-                f"table of length {len(self.table)} cannot be {self.arity}-ary"
-            )
-        if any(b not in (0, 1) for b in self.table):
+    def __init__(self, name: str, arity: int = 0, table: tuple = ()):
+        if arity <= 0:
+            raise ArityError(f"arity must be positive, got {arity}")
+        if len(table) != 1 << arity:
+            raise ArityError(f"table of length {len(table)} cannot be {arity}-ary")
+        if any(b not in (0, 1) for b in table):
             raise DomainError("table holds non-bits")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "table", table)
 
     def __call__(self, args) -> int:
         if len(args) != self.arity:
@@ -172,14 +172,16 @@ def preserves_language(f: BoolFunction, relations, cap: int = DEFAULT_POLY_CAP) 
     return all(is_polymorphism(f, r, cap=cap) for r in relations)
 
 
-@dataclass(frozen=True)
-class ClassifierVerdict:
+class ClassifierVerdict(_Record):
     """Ladder outcome: the class label, the function tag that decided it,
     and the width bound d for the open middle cases."""
 
-    outcome: str
-    because: str
-    d: int = None
+    _fields = ("outcome", "because", "d")
+
+    def __init__(self, outcome: str, because: str, d: int = None):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "because", because)
+        object.__setattr__(self, "d", d)
 
 
 def classify(relations, cap: int = DEFAULT_POLY_CAP) -> ClassifierVerdict:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import ClassError, UnknownTag
-from .formula import AffineEquation, Matrix, QbfFormula, require_quantified
+from .formula import AffineEquation, Matrix, QbfFormula, _Record, require_quantified
 
 _KINDS = ("2cnf", "horn", "dualhorn", "aff", "ihsb-", "ihsb+", "posneg", "dual-posneg")
 _BOUNDED = ("horn", "dualhorn", "ihsb-", "ihsb+")
@@ -36,8 +35,7 @@ BRUTE_CAP = 24
 DEFAULT_CANDIDATES = _KINDS
 
 
-@dataclass(frozen=True)
-class BaseClass:
+class BaseClass(_Record):
     """A named clause/equation class, optionally width-bounded.
 
     Tags: 2cnf, horn, dualhorn, aff, ihsb-, ihsb+, posneg, dual-posneg, and
@@ -45,17 +43,18 @@ class BaseClass:
     clause shape of the class).
     """
 
-    kind: str
-    width: int = None
+    _fields = ("kind", "width")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise UnknownTag(f"unknown base class {self.kind!r}")
-        if self.width is not None:
-            if self.kind not in _BOUNDED:
-                raise UnknownTag(f"class {self.kind!r} takes no width bound")
-            if not isinstance(self.width, int) or self.width < 2:
-                raise UnknownTag(f"width bound must be an int >= 2, got {self.width!r}")
+    def __init__(self, kind: str, width: int = None):
+        if kind not in _KINDS:
+            raise UnknownTag(f"unknown base class {kind!r}")
+        if width is not None:
+            if kind not in _BOUNDED:
+                raise UnknownTag(f"class {kind!r} takes no width bound")
+            if not isinstance(width, int) or width < 2:
+                raise UnknownTag(f"width bound must be an int >= 2, got {width!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "width", width)
 
     @property
     def tag(self) -> str:
@@ -105,14 +104,16 @@ def _fits(kind: str, width, w, npos) -> bool:
     return npos == w or w == 1  # posneg
 
 
-@dataclass(frozen=True)
-class CcBackdoor:
+class CcBackdoor(_Record):
     """A detected clause cover: the class, its variable set, and the input
     formula repartitioned so the covered clauses sit in matrix.backdoor."""
 
-    base_class: BaseClass
-    variables: frozenset
-    formula: QbfFormula
+    _fields = ("base_class", "variables", "formula")
+
+    def __init__(self, base_class: BaseClass, variables: frozenset, formula: QbfFormula):
+        object.__setattr__(self, "base_class", base_class)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "formula", formula)
 
     @property
     def k(self) -> int:
@@ -199,14 +200,17 @@ def _backdoor(formula: QbfFormula, bc: BaseClass, out, vs) -> CcBackdoor:
     return CcBackdoor(bc, frozenset(vs), QbfFormula(formula.prefix, matrix, bc))
 
 
-@dataclass
-class SolveStats:
-    """An engine's counters for one solve."""
+class SolveStats(_Record):
+    """An engine's counters for one solve: the one mutable, unhashable
+    record."""
 
-    branch_nodes: int = 0
-    leaves: int = 0
-    max_depth: int = 0
-    initial_k: int = 0
+    _fields = ("branch_nodes", "leaves", "max_depth", "initial_k")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, branch_nodes: int = 0, leaves: int = 0, max_depth: int = 0, initial_k: int = 0):
+        self.branch_nodes, self.leaves, self.max_depth, self.initial_k = branch_nodes, leaves, max_depth, initial_k
 
 
 def search(game, k: int):

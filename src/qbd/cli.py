@@ -20,7 +20,9 @@ special. `solve` then loads solver2cnf for the 2-CNF engine (twocnf only
 serves solver2cnf.step), affine for the aff engine, oracle for brute force
 and for `--emit-strategy`, and nothing more for the sign engines.
 `kernelize` loads affine; `classify`, `generate`, `transform` and `bench`
-load algebra and reductions.
+load algebra and reductions. Of the standard library, the import adds
+argparse and json to what the interpreter starts with; no command loads
+the dataclass module or `inspect` (the records are formula._Record classes).
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
 
 from .backdoor import SOLVABLE, BaseClass, detect_cc_backdoor
 from .errors import CapError, ParamError, ParseError, PreconditionError, QbdError
-from .formula import Matrix, QbfFormula
+from .formula import Matrix, QbfFormula, _Record
 from .qdimacs import parse_qdimacs, parse_relations, write_qdimacs
 from .special import dispatch, resolve_brute_cap
 
@@ -44,19 +45,22 @@ EXIT_FALSE = 20
 ALGORITHMS = ("auto", *SOLVABLE, "brute")
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(_Record):
     """One solver run on one instance, as persisted to the bench log."""
 
-    instance: str
-    seed: int
-    algorithm: str
-    value: bool
-    k: int
-    n: int
-    branch_nodes: int
-    leaves: int
-    wall_time: float
+    _fields = ("instance", "seed", "algorithm", "value", "k", "n", "branch_nodes", "leaves", "wall_time")
+
+    def __init__(self, instance: str, seed: int, algorithm: str, value: bool, k: int, n: int, branch_nodes: int,
+                 leaves: int, wall_time: float):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "branch_nodes", branch_nodes)
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "wall_time", wall_time)
 
 
 def _read(path: str) -> str:
@@ -249,7 +253,7 @@ def cmd_bench(args) -> int:
     with open(args.out, "a", encoding="utf-8") as sink:
         for iid, seed, f in jobs:
             for record in _bench_one(iid, seed, f, brute_cap):
-                sink.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+                sink.write(json.dumps({f: getattr(record, f) for f in record._fields}, sort_keys=True) + "\n")
                 written += 1
     print(f"bench: {len(jobs)} instances, {written} records -> {args.out}")
     return 0

@@ -4,11 +4,15 @@ Literals follow the DIMACS convention: a literal is a nonzero int, negation is
 arithmetic negation, the variable is abs(literal). A clause is a frozenset of
 literals; the empty frozenset is the unsatisfiable clause. Affine atoms are
 GF(2) equations over variable sets.
+
+The package's records, here and in the other modules, are plain classes on
+_Record, so importing qbd loads neither the standard library's dataclass
+module nor `inspect`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import ClassError, DomainError, TautologyError
@@ -48,22 +52,53 @@ def clause_vars(c: Clause) -> frozenset:
     return frozenset(abs(l) for l in c)
 
 
-@dataclass(frozen=True)
-class AffineEquation:
+class _Record:
+    """The base of the package's records. A record's __init__ checks its
+    arguments and sets its fields with object.__setattr__; after that it is
+    immutable (SolveStats alone opts out). Records of one class are equal
+    when the fields `_key` reads are: `_compared`, or all of `_fields`,
+    which repr shows as Name(field=value, ...)."""
+
+    _fields = ()
+    _compared = None
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*(cls._compared or cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AffineEquation(_Record):
     """GF(2) equation: the XOR of `vars` equals `rhs`.
 
     ({}, 0) is trivially true, ({}, 1) is unsatisfiable.
     """
 
-    vars: frozenset
-    rhs: int
+    _fields = ("vars", "rhs")
 
-    def __post_init__(self):
-        if self.rhs not in (0, 1):
-            raise DomainError(f"rhs must be 0 or 1, got {self.rhs}")
-        for v in self.vars:
+    def __init__(self, vars: frozenset, rhs: int):
+        if rhs not in (0, 1):
+            raise DomainError(f"rhs must be 0 or 1, got {rhs}")
+        for v in vars:
             if not isinstance(v, int) or v <= 0:
                 raise DomainError(f"equation variable must be a positive int, got {v}")
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "rhs", rhs)
 
     @classmethod
     def from_literals(cls, lits: Iterable[Lit], rhs: int = 1) -> "AffineEquation":
@@ -89,7 +124,7 @@ class AffineEquation:
     @staticmethod
     def _kept(vars: frozenset, rhs: int) -> "AffineEquation":
         """An equation whose variables and rhs pass every check of
-        __post_init__, such as those the QDIMACS reader bounded or those
+        __init__, such as those the QDIMACS reader bounded or those
         unpacked from a prefix's variables: built without the checks."""
         out = object.__new__(AffineEquation)
         object.__setattr__(out, "vars", vars)
@@ -114,20 +149,19 @@ def atom_vars(atom: Atom) -> frozenset:
     return clause_vars(atom)
 
 
-@dataclass(frozen=True)
-class Prefix:
+class Prefix(_Record):
     """Quantifier prefix: an ordered sequence of (variable, quantifier) pairs.
 
     Position 0 is outermost. Quantifiers are the strings EXISTS ("e") and
-    FORALL ("a").
+    FORALL ("a"). `_pos`, each variable's position, is built from the
+    entries and stays out of equality and repr.
     """
 
-    entries: tuple = ()
-    _pos: dict = field(init=False, repr=False, compare=False, hash=False)
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple = ()):
         pos: dict = {}
-        for i, (v, q) in enumerate(self.entries):
+        for i, (v, q) in enumerate(entries):
             if q not in (EXISTS, FORALL):
                 raise DomainError(f"bad quantifier {q!r} for variable {v}")
             if not isinstance(v, int) or v <= 0:
@@ -135,6 +169,7 @@ class Prefix:
             if v in pos:
                 raise DomainError(f"variable {v} quantified twice")
             pos[v] = i
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_pos", pos)
 
     @classmethod
@@ -142,7 +177,7 @@ class Prefix:
         """Parse a compact prefix like "e1 a2 e3"."""
         toks = text.split()
         for tok in toks:
-            if not (tok[1:].isascii() and tok[1:].isdigit()):  # __post_init__ checks the quantifier
+            if not (tok[1:].isascii() and tok[1:].isdigit()):  # __init__ checks the quantifier
                 raise DomainError(f"bad prefix token {tok!r}: want e or a, then ASCII digits")
         return cls(tuple((int(tok[1:]), tok[0]) for tok in toks))
 
@@ -183,7 +218,7 @@ class Prefix:
 
     @staticmethod
     def _kept(entries: tuple) -> "Prefix":
-        """A Prefix of entries that pass every check of __post_init__, such
+        """A Prefix of entries that pass every check of __init__, such
         as those kept, in order, from a checked prefix, or those the QDIMACS
         reader checked: only their positions are built."""
         out = object.__new__(Prefix)
@@ -205,14 +240,16 @@ class Prefix:
         return " ".join(f"{q}{v}" for v, q in self.entries)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(_Record):
     """Conjunction of atoms, partitioned into a tractable part and the
     covered (backdoor) part. The backdoor part holds clauses only.
     """
 
-    tractable: tuple = ()
-    backdoor: tuple = ()
+    _fields = ("tractable", "backdoor")
+
+    def __init__(self, tractable: tuple = (), backdoor: tuple = ()):
+        object.__setattr__(self, "tractable", tractable)
+        object.__setattr__(self, "backdoor", backdoor)
 
     def atoms(self) -> tuple:
         return self.tractable + self.backdoor
@@ -230,8 +267,7 @@ class Matrix:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class QbfFormula:
+class QbfFormula(_Record):
     """Closed prenex QBF with a partitioned CNF/XOR matrix.
 
     `base_class` names the class the tractable part is declared to live in
@@ -239,9 +275,12 @@ class QbfFormula:
     matrix never mentions are allowed.
     """
 
-    prefix: Prefix
-    matrix: Matrix
-    base_class: object = None
+    _fields = ("prefix", "matrix", "base_class")
+
+    def __init__(self, prefix: Prefix, matrix: Matrix, base_class: object = None):
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "base_class", base_class)
 
     @property
     def n_variables(self) -> int:
@@ -263,12 +302,14 @@ def require_quantified(formula: QbfFormula) -> None:
         raise DomainError(f"matrix variables {sorted(unbound)} not quantified")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One structural problem found by validate()."""
 
-    code: str
-    detail: str
+    _fields = ("code", "detail")
+
+    def __init__(self, code: str, detail: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "detail", detail)
 
 
 def _apply_equation(eq: AffineEquation, tau: Assignment):

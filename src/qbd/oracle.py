@@ -13,8 +13,6 @@ and high (value 1) halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .backdoor import BRUTE_CAP
 from .errors import CapError, InternalError, ShapeError
 from .formula import (
@@ -22,6 +20,7 @@ from .formula import (
     FORALL,
     AffineEquation,
     QbfFormula,
+    _Record,
     eval_matrix,
     require_quantified,
 )
@@ -96,22 +95,26 @@ def eval_bruteforce(formula: QbfFormula, cap: int = BRUTE_CAP) -> bool:
     return _fold(matrix_table(formula), quants, 0)
 
 
-@dataclass(frozen=True)
-class StrategyNode:
+class StrategyNode(_Record):
     """One quantifier level: branches pair a value with a subtree or leaf."""
 
-    var: int
-    branches: tuple
+    _fields = ("var", "branches")
+
+    def __init__(self, var: int, branches: tuple):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "branches", branches)
 
 
-@dataclass(frozen=True)
-class StrategyTree:
+class StrategyTree(_Record):
     """A winning strategy: the winner's own variables carry one chosen
     branch, the opponent's carry both. Leaves are bools naming the matrix
     value every play reaches."""
 
-    winner: str
-    root: object
+    _fields = ("winner", "root")
+
+    def __init__(self, winner: str, root: object):
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "root", root)
 
     def to_text(self) -> str:
         return _render(self.root)

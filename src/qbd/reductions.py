@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .backdoor import BaseClass, _show
 from .errors import CapError, ClassError, GraphError, ParamError, ParseError
@@ -26,30 +25,29 @@ from .formula import (
     Matrix,
     Prefix,
     QbfFormula,
+    _Record,
 )
 
 
-@dataclass(frozen=True)
-class PartitionedGraph:
+class PartitionedGraph(_Record):
     """A graph whose vertices are split into ordered parts.
 
     parts: tuple of tuples of vertex labels; edges: frozenset of 2-element
     frozensets.
     """
 
-    parts: tuple
-    edges: frozenset
+    _fields = ("parts", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(tuple(p) for p in self.parts))
+    def __init__(self, parts: tuple, edges: frozenset):
+        parts = tuple(tuple(p) for p in parts)
         seen = set()
-        for part in self.parts:
+        for part in parts:
             for v in part:
                 if v in seen:
                     raise GraphError(f"vertex {v!r} appears in two parts")
                 seen.add(v)
         norm = set()
-        for e in self.edges:
+        for e in edges:
             pair = frozenset(e)
             if len(pair) != 2:
                 raise GraphError(f"edge {set(e)!r} is not a pair of distinct vertices")
@@ -57,6 +55,7 @@ class PartitionedGraph:
                 if v not in seen:
                     raise GraphError(f"edge endpoint {v!r} is not a vertex")
             norm.add(pair)
+        object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "edges", frozenset(norm))
 
     @property
@@ -247,19 +246,22 @@ def mis_bruteforce(g: PartitionedGraph, cap: int = 1 << 20) -> bool:
 MAX_ATOMS = 10**6  # the most atoms, and variables, gen_random draws; tests and examples draw under a hundred
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(_Record):
     """Knobs for gen_random: n variables, a designated k-variable cover,
     the class of the uncovered part, atom counts as per-variable
     densities, and an optional quantifier pattern (cycled; random when
     None)."""
 
-    n: int
-    k: int
-    tag: str = "2cnf"
-    tractable_density: float = 1.5
-    backdoor_density: float = 1.0
-    prefix_pattern: str = None
+    _fields = ("n", "k", "tag", "tractable_density", "backdoor_density", "prefix_pattern")
+
+    def __init__(self, n: int, k: int, tag: str = "2cnf", tractable_density: float = 1.5,
+                 backdoor_density: float = 1.0, prefix_pattern: str = None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "tractable_density", tractable_density)
+        object.__setattr__(self, "backdoor_density", backdoor_density)
+        object.__setattr__(self, "prefix_pattern", prefix_pattern)
 
 
 def _gen_atom(rng: random.Random, bc: BaseClass, n: int) -> object:

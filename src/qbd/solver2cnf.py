@@ -29,12 +29,11 @@ the decisions that `step` makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import import_module
 
 from .backdoor import BaseClass, SolveStats, search, verify_partition  # noqa: F401  (SolveStats: tests import it here)
 from .errors import InternalError
-from .formula import FORALL, QbfFormula
+from .formula import FORALL, QbfFormula, _Record
 # unused here, but bench/tracer.py wraps this name on this module
 from .formula import apply_assignment  # noqa: F401
 
@@ -56,19 +55,21 @@ FOLLOW = "follow"
 BRANCH = "branch"
 
 
-@dataclass(frozen=True)
-class StepDecision:
+class StepDecision(_Record):
     """One solver decision: what to do at the current outermost variable.
 
     FOLLOW carries the assignment U to apply; BRANCH carries both arms'
     assignments as `arms`. ACCEPT/REJECT are terminal.
     """
 
-    kind: str
-    rationale: str
-    pivot: int = None
-    U: dict = None
-    arms: tuple = None
+    _fields = ("kind", "rationale", "pivot", "U", "arms")
+
+    def __init__(self, kind: str, rationale: str, pivot: int = None, U: dict = None, arms: tuple = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rationale", rationale)
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "arms", arms)
 
 
 def _decision(formula: QbfFormula) -> StepDecision:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
 from functools import cache, partial
 from importlib import import_module
 from itertools import compress
@@ -28,7 +27,7 @@ from itertools import compress
 from .backdoor import (BRUTE_CAP, SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor,
                        search, verify_partition)
 from .errors import CapError, ClassError
-from .formula import EXISTS, FORALL, QbfFormula, _substitute, require_quantified
+from .formula import EXISTS, FORALL, QbfFormula, _Record, _substitute, require_quantified
 # unused here, but bench/tracer.py wraps this name on this module
 from .formula import apply_assignment  # noqa: F401
 
@@ -51,14 +50,16 @@ def __getattr__(name: str):
     return value
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of dispatch: the truth value, which engine decided it, and
     that engine's counters."""
 
-    value: bool
-    algorithm: str
-    stats: SolveStats
+    _fields = ("value", "algorithm", "stats")
+
+    def __init__(self, value: bool, algorithm: str, stats: SolveStats):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "stats", stats)
 
 
 class _Sign:

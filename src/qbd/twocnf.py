@@ -19,22 +19,22 @@ a node from them, and the tests check the engine against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ArityError, ClassError, DomainError, InternalError
-from .formula import AffineEquation, Prefix
+from .formula import AffineEquation, Prefix, _Record
 
 EMPTY = frozenset()
 
 
-@dataclass(frozen=True)
-class Prop2Cnf:
+class Prop2Cnf(_Record):
     """Closure of a 2-CNF: its clauses, split out for convenience."""
 
-    clauses: frozenset
-    contradiction: bool
-    units: frozenset
-    binaries: frozenset
+    _fields = ("clauses", "contradiction", "units", "binaries")
+
+    def __init__(self, clauses: frozenset, contradiction: bool, units: frozenset, binaries: frozenset):
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "contradiction", contradiction)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "binaries", binaries)
 
 
 def _check_width2(clauses) -> list:
@@ -130,8 +130,7 @@ def eval_q2cnf(prefix: Prefix, clauses) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LookAhead:
+class LookAhead(_Record):
     """Effect of adding one pivot unit to a closed 2-CNF.
 
     status: truth of the remaining game after the pivot takes this value.
@@ -140,10 +139,13 @@ class LookAhead:
     D: the variables of `units`.
     """
 
-    status: bool
-    units: frozenset
-    U: dict
-    D: frozenset
+    _fields = ("status", "units", "U", "D")
+
+    def __init__(self, status: bool, units: frozenset, U: dict, D: frozenset):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "D", D)
 
 
 _DEAD = LookAhead(False, frozenset(), {}, frozenset())

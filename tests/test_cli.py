@@ -362,6 +362,8 @@ class TestBench:
         assert f"bench: 5 instances, 10 records -> {log}" in capsys.readouterr().out
         rows = [json.loads(l) for l in log.read_text().splitlines()]
         assert len(rows) == 10
+        keys = ["algorithm", "branch_nodes", "instance", "k", "leaves", "n", "seed", "value", "wall_time"]
+        assert all(list(r) == keys for r in rows)  # the nine BenchRecord fields, sorted
         assert {r["algorithm"] for r in rows} >= {"brute"}
         assert all(r["n"] == 6 for r in rows)
         assert cli.run(["bench", "--verify", str(log)]) == 0

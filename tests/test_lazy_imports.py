@@ -1,9 +1,11 @@
-"""A `qbd solve` loads only the engine it runs.
+"""A `qbd solve` loads only the engine it runs, and no command loads
+`dataclasses` or `inspect`.
 
 Each subcommand runs in a fresh interpreter (here pytest has already
 imported every module), which reports the qbd modules that are loaded
-after `import qbd.cli` and after the run. The names that once came from
-module-level imports still resolve, each loading its module on first read.
+after `import qbd.cli` and after the run, and the modules that each step
+newly loaded. The names that once came from module-level imports still
+resolve, each loading its module on first read.
 """
 
 import json
@@ -23,16 +25,22 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # the modules that serve one engine, the oracle or a subcommand other than solve
 LAZY = ("qbd.affine", "qbd.solver2cnf", "qbd.twocnf", "qbd.oracle", "qbd.algebra", "qbd.reductions")
 
+# standard-library modules that no command needs and that a cold start would pay to import
+HEAVY = {"dataclasses", "inspect"}
+
 PROBE = f"""
 import contextlib, io, json, sys
+before = set(sys.modules)
 from qbd import cli
 lazy = {LAZY!r}
 imported = [m for m in lazy if m in sys.modules]
+at_import = set(sys.modules)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.run(sys.argv[1:])
 print(json.dumps({{"imported": imported, "code": code, "out": out.getvalue().splitlines(),
-                  "ran": [m for m in lazy if m in sys.modules]}}))
+                  "ran": [m for m in lazy if m in sys.modules],
+                  "import_loads": sorted(at_import - before), "run_loads": sorted(set(sys.modules) - at_import)}}))
 """
 
 POSNEG_TEXT = "c class posneg\np cnf 3 2\ne 1 2 3 0\n1 2 3 0\n-3 0\n"
@@ -44,11 +52,17 @@ AFF_TEXT = "c class aff\np cnf 5 3\ne 1 0\na 2 0\ne 3 4 5 0\nx 1 3 0\nx 2 5 0\nc
 
 
 def probe(*argv):
+    """The probe's report on one command; it asserts that neither the
+    import nor the run newly loaded a module of HEAVY (a site hook may
+    have loaded one before)."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    run = json.loads(done.stdout.splitlines()[-1])
+    assert HEAVY.isdisjoint(run["import_loads"]), "from qbd import cli"
+    assert HEAVY.isdisjoint(run["run_loads"]), argv
+    return run
 
 
 @pytest.fixture
@@ -85,6 +99,15 @@ def test_kernelize_loads_affine(files):
     run = probe("kernelize", str(files["aff"]))
     assert run["code"] == 0
     assert run["ran"] == ["qbd.affine"]
+
+
+def test_classify_and_generate_load_no_heavy_module(tmp_path):
+    rels = tmp_path / "rels.txt"
+    rels.write_text("or3 3 : 001, 010, 011, 100, 101, 110, 111\nimpl 2 : 00, 01, 11\n")
+    assert probe("classify", str(rels))["code"] == 0
+    run = probe("generate", "random", "--n", "6", "--k", "2", "--seed", "1", "--out", str(tmp_path / "g.qdimacs"))
+    assert run["code"] == 0
+    assert run["ran"] == ["qbd.reductions"]
 
 
 def test_lazy_names_are_the_originals():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given
 
 from qbd.backdoor import BaseClass, detect_cc_backdoor
 from qbd.errors import CapError, ClassError, GraphError, ParamError, ParseError, UnknownTag
@@ -29,6 +30,7 @@ from qbd.reductions import (
     parse_graph,
 )
 from helpers import naive_eval, random_graph, random_mixed
+from strategies import PROPERTY, formulas
 
 
 SMALL = PartitionedGraph((("a", "b"), ("c",)), frozenset({frozenset(("a", "c"))}))
@@ -197,6 +199,15 @@ class TestDualize:
             f = random_mixed(rng, max_n=6)
             assert dualize(dualize(f)) == f
             assert naive_eval(dualize(f)) == naive_eval(f), f
+
+    @PROPERTY
+    @given(formulas())
+    def test_involution_and_value_on_every_declared_class(self, f):
+        # formulas() declares the width-bounded tags too, which random_mixed never draws
+        d = dualize(f)
+        assert dualize(d) == f
+        assert d.base_class == (f.base_class and f.base_class.dual())
+        assert eval_bruteforce(d) == eval_bruteforce(f)
 
     def test_class_mirrors(self):
         f = mis_to_horn(SMALL)

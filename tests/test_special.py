@@ -3,7 +3,6 @@ import re
 import time
 import warnings
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -308,10 +307,11 @@ class TestDispatch:
         for seed in range(160):
             n = 3 + seed % 6
             params = GenParams(n=n, k=seed % n, tag=SOLVABLE[seed % 4], tractable_density=0.4)
-            bare = replace(gen_random(params, seed), base_class=None)
+            drawn = gen_random(params, seed)
+            bare = QbfFormula(drawn.prefix, drawn.matrix)
             head = rank_classes(bare, SOLVABLE)[0]
             for declared in (None, *SOLVABLE):
-                f = replace(bare, base_class=BaseClass(declared) if declared else None)
+                f = QbfFormula(bare.prefix, bare.matrix, BaseClass(declared) if declared else None)
                 first = [declared] if declared else []
                 best = rank_classes(f, first + [t for t in SOLVABLE if t != declared])[0]
                 if best.k >= n:
@@ -327,7 +327,7 @@ class TestDispatch:
     @PROPERTY
     @given(formulas(), st.sampled_from((0, 2, 24)))
     def test_dispatches_through_the_head_of_the_reference_ranking(self, f, cap):
-        for g in (f, replace(f, base_class=None)):
+        for g in (f, QbfFormula(f.prefix, f.matrix)):
             declared = g.base_class.kind if g.base_class is not None else None
             order = sorted(SOLVABLE, key=lambda tag: tag != declared)
             head = reference_ranking(g, order)[0]
@@ -359,9 +359,9 @@ class TestDispatch:
         2-CNF engine often refutes its root by the width-2 game."""
         entries = f.prefix.entries
         universal = data.draw(st.sets(st.sampled_from([v for v, _ in entries]))) if entries else set()
-        f = replace(f, prefix=Prefix(tuple((v, FORALL if v in universal else q) for v, q in entries)))
+        f = QbfFormula(Prefix(tuple((v, FORALL if v in universal else q) for v, q in entries)), f.matrix, f.base_class)
         expected = naive_eval(f)
-        for g in (f, replace(f, base_class=None)):
+        for g in (f, QbfFormula(f.prefix, f.matrix)):
             for cap in (0, 24):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # the over-cap warning
@@ -392,7 +392,7 @@ class TestDispatch:
                 assert scans.call_count == 1
             scans.reset_mock()
             try:
-                dispatch(replace(f, base_class=None), algorithm=forced)
+                dispatch(QbfFormula(f.prefix, f.matrix), algorithm=forced)
             except ClassError:  # the forced class cannot cover an equation
                 pass
             assert scans.call_count == 1

@@ -70,7 +70,6 @@ import hashlib
 import random
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -509,7 +508,7 @@ def engines_section(seed):
     rng = random.Random(f"engines:{seed}")
     for _ in range(RANDOM_DRAWS):
         f = random_formula(rng)
-        bare = replace(f, base_class=None)
+        bare = QbfFormula(f.prefix, f.matrix)
         for kind, engine in PUBLIC.items():
             sec.add((kind, outcome(engine, f, show=solved)))
         for bd in rank_classes(bare, SOLVABLE):
@@ -610,7 +609,7 @@ def values_section(seed, texts):
     inputs = [(family, i, f, ()) for family, i, f in texts]
     for i in range(RANDOM_DRAWS):
         f = random_formula(rng)
-        bare = replace(f, base_class=None)
+        bare = QbfFormula(f.prefix, f.matrix)
         inputs.append(("engines", i, f, (bare,) + tuple(bd.formula for bd in rank_classes(bare, SOLVABLE))))
     for family, i, f, more in inputs:
         for cap in (0, BRUTE_CAP):
