@@ -63,8 +63,7 @@ class AffSystem(_Record):
                 mask |= 1 << pos[v]
             first.setdefault((mask, eq.rhs), eq)
         first.pop((0, 0), None)  # the trivial row, as _pivot drops it
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "rows", tuple(first.values()))
+        super().__init__(prefix, tuple(first.values()))
         object.__setattr__(self, "_packed", tuple(first))
 
     @classmethod
@@ -166,11 +165,6 @@ class KernelResult(_Record):
     (innermost variable, equation) pair that forces it."""
 
     _fields = ("reduced_prefix", "reduced_system", "forced")
-
-    def __init__(self, reduced_prefix: Prefix, reduced_system: AffSystem, forced: tuple):
-        object.__setattr__(self, "reduced_prefix", reduced_prefix)
-        object.__setattr__(self, "reduced_system", reduced_system)
-        object.__setattr__(self, "forced", forced)
 
 
 def kernelize(system: AffSystem, cover) -> KernelResult:

@@ -6,7 +6,7 @@ a constraint language admits determines how hard covered evaluation over
 that language is, and classify() walks that ladder:
 
 1. majority or minority admitted: all covers are fixed-parameter tractable;
-2. x or (y and z) admitted: either x or (y and not z) (or t3) makes it
+2. x or (y and z) admitted: either x or (y and not z) makes it
    tractable, or the least d >= 3 whose threshold t_{d+1} is admitted
    leaves the d-bounded case open;
 3. the mirrored test with x and (y or z);
@@ -48,9 +48,7 @@ class Relation(_Record):
                 raise ArityError(f"tuple {row} has length {len(row)}, arity is {arity}")
             if any(b not in (0, 1) for b in row):
                 raise DomainError(f"tuple {row} holds non-bits")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "tuples", tuples)
+        super().__init__(name, arity, tuples)
 
 
 class BoolFunction(_Record):
@@ -70,9 +68,7 @@ class BoolFunction(_Record):
             raise ArityError(f"table of length {len(table)} cannot be {arity}-ary")
         if any(b not in (0, 1) for b in table):
             raise DomainError("table holds non-bits")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "table", table)
+        super().__init__(name, arity, table)
 
     def __call__(self, args) -> int:
         if len(args) != self.arity:
@@ -177,11 +173,7 @@ class ClassifierVerdict(_Record):
     and the width bound d for the open middle cases."""
 
     _fields = ("outcome", "because", "d")
-
-    def __init__(self, outcome: str, because: str, d: int = None):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "because", because)
-        object.__setattr__(self, "d", d)
+    _defaults = (None,)
 
 
 def classify(relations, cap: int = DEFAULT_POLY_CAP) -> ClassifierVerdict:
@@ -198,24 +190,19 @@ def classify(relations, cap: int = DEFAULT_POLY_CAP) -> ClassifierVerdict:
     if has("mnrty"):
         return ClassifierVerdict(FPT, "mnrty")
     top = max((r.arity for r in rels), default=3)
-    if has("or-and"):
-        if has("or-andnot"):
-            return ClassifierVerdict(FPT, "or-andnot")
-        if has("t3"):
-            return ClassifierVerdict(FPT, "t3")
+    # t3 is maj, and self-dual, so neither rung below repeats it
+    for gate, escape, outcome, mirror in (("or-and", "or-andnot", OPEN_PLUS, False),
+                                          ("and-or", "and-ornot", OPEN_MINUS, True)):
+        if not has(gate):
+            continue
+        if has(escape):
+            return ClassifierVerdict(FPT, escape)
         for d in range(3, max(3, top) + 1):
-            if has(f"t{d + 1}"):
-                return ClassifierVerdict(OPEN_PLUS, f"t{d + 1}", d)
+            t = named_function(f"t{d + 1}")
+            t = dual_function(t) if mirror else t
+            if has(t):
+                return ClassifierVerdict(outcome, t.name, d)
         raise InternalError("threshold scan passed the arity bound without a hit")
-    if has("and-or"):
-        if has("and-ornot"):
-            return ClassifierVerdict(FPT, "and-ornot")
-        if has("t3"):
-            return ClassifierVerdict(FPT, "t3")
-        for d in range(3, max(3, top) + 1):
-            if has(dual_function(named_function(f"t{d + 1}"))):
-                return ClassifierVerdict(OPEN_MINUS, f"dual(t{d + 1})", d)
-        raise InternalError("dual threshold scan passed the arity bound without a hit")
     if has("min"):
         return ClassifierVerdict(W1_HARD, "min")
     if has("max"):

@@ -53,8 +53,7 @@ class BaseClass(_Record):
                 raise UnknownTag(f"class {kind!r} takes no width bound")
             if not isinstance(width, int) or width < 2:
                 raise UnknownTag(f"width bound must be an int >= 2, got {width!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "width", width)
+        super().__init__(kind, width)
 
     @property
     def tag(self) -> str:
@@ -109,11 +108,6 @@ class CcBackdoor(_Record):
     formula repartitioned so the covered clauses sit in matrix.backdoor."""
 
     _fields = ("base_class", "variables", "formula")
-
-    def __init__(self, base_class: BaseClass, variables: frozenset, formula: QbfFormula):
-        object.__setattr__(self, "base_class", base_class)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "formula", formula)
 
     @property
     def k(self) -> int:
@@ -205,12 +199,10 @@ class SolveStats(_Record):
     record."""
 
     _fields = ("branch_nodes", "leaves", "max_depth", "initial_k")
+    _defaults = (0, 0, 0, 0)
     __hash__ = None
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
-
-    def __init__(self, branch_nodes: int = 0, leaves: int = 0, max_depth: int = 0, initial_k: int = 0):
-        self.branch_nodes, self.leaves, self.max_depth, self.initial_k = branch_nodes, leaves, max_depth, initial_k
 
 
 def search(game, k: int):
@@ -219,7 +211,7 @@ def search(game, k: int):
     or (existential, arm, other arm or None); `game.play(arm)` moves, and
     writing back a `game.state` read earlier takes back every move since.
     A branch plays its other arm only when the first went against its owner."""
-    stats = SolveStats(initial_k=k)
+    stats = SolveStats(0, 0, 0, k)
     frames = []  # per branch with its other arm unplayed: (existential, state, depth, other arm)
     depth = 0
     while True:

@@ -50,18 +50,6 @@ class BenchRecord(_Record):
 
     _fields = ("instance", "seed", "algorithm", "value", "k", "n", "branch_nodes", "leaves", "wall_time")
 
-    def __init__(self, instance: str, seed: int, algorithm: str, value: bool, k: int, n: int, branch_nodes: int,
-                 leaves: int, wall_time: float):
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "algorithm", algorithm)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "branch_nodes", branch_nodes)
-        object.__setattr__(self, "leaves", leaves)
-        object.__setattr__(self, "wall_time", wall_time)
-
 
 def _read(path: str) -> str:
     try:

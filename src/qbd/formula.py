@@ -7,11 +7,16 @@ GF(2) equations over variable sets.
 
 The package's records, here and in the other modules, are plain classes on
 _Record, so importing qbd loads neither the standard library's dataclass
-module nor `inspect`.
+module nor `inspect`. A record declares its fields once, in `_fields`, and
+the values of its trailing fields when a call leaves them out in
+`_defaults`; it writes an __init__ only to check its arguments, and that
+__init__ passes them on to _Record's. _lazy_names builds the module
+__getattr__ of the modules that load a name's module on its first read.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -53,14 +58,47 @@ def clause_vars(c: Clause) -> frozenset:
 
 
 class _Record:
-    """The base of the package's records. A record's __init__ checks its
-    arguments and sets its fields with object.__setattr__; after that it is
-    immutable (SolveStats alone opts out). Records of one class are equal
-    when the fields `_key` reads are: `_compared`, or all of `_fields`,
-    which repr shows as Name(field=value, ...)."""
+    """The base of the package's records. A record lists its fields in
+    `_fields` and the values of the last len(`_defaults`) of them in
+    `_defaults`; it is built by position, by keyword or from those
+    defaults, and a call Python would refuse for a def with that signature
+    is a TypeError. A record writes its own __init__ only to check its
+    arguments, and passes them on to this one, which sets each field with
+    object.__setattr__; after that the record is immutable (SolveStats
+    alone opts out). Records of one class are equal when the fields `_key`
+    reads are: `_compared`, or all of `_fields`, which repr shows as
+    Name(field=value, ...)."""
 
     _fields = ()
+    _defaults = ()
     _compared = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The values of every field, in order, for a call that does not give
+        each field by position."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields[len(fields) - len(cls._defaults):], cls._defaults))
+        values.update(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in fields[:len(args)]:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required argument(s): {', '.join(missing)}")
+        return [values[name] for name in fields]
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*(cls._compared or cls._fields))
@@ -83,6 +121,21 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _lazy_names(scope: dict, names: dict):
+    """A module __getattr__ for the module whose globals are `scope`: each
+    of `names` (name -> (module of this package, attribute)) is read from
+    its module, imported on the first read, and kept in `scope`."""
+
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {scope['__name__']!r} has no attribute {name!r}")
+        module, attr = names[name]
+        scope[name] = value = getattr(import_module(f"{scope['__package__']}.{module}"), attr)
+        return value
+
+    return __getattr__
+
+
 class AffineEquation(_Record):
     """GF(2) equation: the XOR of `vars` equals `rhs`.
 
@@ -97,8 +150,7 @@ class AffineEquation(_Record):
         for v in vars:
             if not isinstance(v, int) or v <= 0:
                 raise DomainError(f"equation variable must be a positive int, got {v}")
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "rhs", rhs)
+        super().__init__(vars, rhs)
 
     @classmethod
     def from_literals(cls, lits: Iterable[Lit], rhs: int = 1) -> "AffineEquation":
@@ -169,7 +221,7 @@ class Prefix(_Record):
             if v in pos:
                 raise DomainError(f"variable {v} quantified twice")
             pos[v] = i
-        object.__setattr__(self, "entries", entries)
+        super().__init__(entries)
         object.__setattr__(self, "_pos", pos)
 
     @classmethod
@@ -246,10 +298,7 @@ class Matrix(_Record):
     """
 
     _fields = ("tractable", "backdoor")
-
-    def __init__(self, tractable: tuple = (), backdoor: tuple = ()):
-        object.__setattr__(self, "tractable", tractable)
-        object.__setattr__(self, "backdoor", backdoor)
+    _defaults = ((), ())
 
     def atoms(self) -> tuple:
         return self.tractable + self.backdoor
@@ -276,11 +325,7 @@ class QbfFormula(_Record):
     """
 
     _fields = ("prefix", "matrix", "base_class")
-
-    def __init__(self, prefix: Prefix, matrix: Matrix, base_class: object = None):
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "base_class", base_class)
+    _defaults = (None,)
 
     @property
     def n_variables(self) -> int:
@@ -306,10 +351,6 @@ class Violation(_Record):
     """One structural problem found by validate()."""
 
     _fields = ("code", "detail")
-
-    def __init__(self, code: str, detail: str):
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "detail", detail)
 
 
 def _apply_equation(eq: AffineEquation, tau: Assignment):
@@ -361,11 +402,7 @@ def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
         back = _substitute(formula.matrix.backdoor, true, false)
     except TypeError:  # an equation is not iterable
         raise ClassError("the covered part holds clauses only") from None
-    return QbfFormula(
-        prefix=formula.prefix.without(tau),
-        matrix=Matrix(tuple(tract), tuple(back)),
-        base_class=formula.base_class,
-    )
+    return QbfFormula(formula.prefix.without(tau), Matrix(tuple(tract), tuple(back)), formula.base_class)
 
 
 def _value(tau: Assignment, v: int) -> int:

@@ -100,10 +100,6 @@ class StrategyNode(_Record):
 
     _fields = ("var", "branches")
 
-    def __init__(self, var: int, branches: tuple):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "branches", branches)
-
 
 class StrategyTree(_Record):
     """A winning strategy: the winner's own variables carry one chosen
@@ -111,10 +107,6 @@ class StrategyTree(_Record):
     value every play reaches."""
 
     _fields = ("winner", "root")
-
-    def __init__(self, winner: str, root: object):
-        object.__setattr__(self, "winner", winner)
-        object.__setattr__(self, "root", root)
 
     def to_text(self) -> str:
         return _render(self.root)

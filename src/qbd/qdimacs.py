@@ -272,7 +272,7 @@ class _Reader:
             )
             entries.extend((v, EXISTS) for v in free)
         # every entry passed the per-line or the bulk checks, which are Prefix's
-        return QbfFormula(prefix=Prefix._kept(tuple(entries)), matrix=matrix, base_class=self.declared)
+        return QbfFormula(Prefix._kept(tuple(entries)), matrix, self.declared)
 
 
 def _clause_line(c) -> str:

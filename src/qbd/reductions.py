@@ -55,8 +55,7 @@ class PartitionedGraph(_Record):
                 if v not in seen:
                     raise GraphError(f"edge endpoint {v!r} is not a vertex")
             norm.add(pair)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "edges", frozenset(norm))
+        super().__init__(parts, frozenset(norm))
 
     @property
     def k(self) -> int:
@@ -253,15 +252,7 @@ class GenParams(_Record):
     None)."""
 
     _fields = ("n", "k", "tag", "tractable_density", "backdoor_density", "prefix_pattern")
-
-    def __init__(self, n: int, k: int, tag: str = "2cnf", tractable_density: float = 1.5,
-                 backdoor_density: float = 1.0, prefix_pattern: str = None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "tractable_density", tractable_density)
-        object.__setattr__(self, "backdoor_density", backdoor_density)
-        object.__setattr__(self, "prefix_pattern", prefix_pattern)
+    _defaults = ("2cnf", 1.5, 1.0, None)
 
 
 def _gen_atom(rng: random.Random, bc: BaseClass, n: int) -> object:
@@ -275,7 +266,7 @@ def _gen_atom(rng: random.Random, bc: BaseClass, n: int) -> object:
         return frozenset(v if rng.random() < 0.5 else -v for v in vs)
     if kind == "aff":
         vs = sample(rng.randint(1, 4))
-        return AffineEquation(frozenset(vs), rng.getrandbits(1))
+        return AffineEquation._kept(frozenset(vs), rng.getrandbits(1))  # variables 1..n and a bit pass every check
     if kind in ("horn", "dualhorn"):
         vs = sample(rng.randint(1, cap))
         head = rng.random() < 0.7
@@ -341,8 +332,4 @@ def gen_random(params: GenParams, seed: int) -> QbfFormula:
         w = rng.randint(1, min(len(cover), 4))
         vs = rng.sample(cover, w)
         back.append(frozenset(v if rng.random() < 0.5 else -v for v in vs))
-    return QbfFormula(
-        prefix=Prefix(tuple(entries)),
-        matrix=Matrix(tuple(tract), tuple(back)),
-        base_class=bc,
-    )
+    return QbfFormula(Prefix(tuple(entries)), Matrix(tuple(tract), tuple(back)), bc)

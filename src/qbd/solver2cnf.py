@@ -29,25 +29,15 @@ the decisions that `step` makes.
 
 from __future__ import annotations
 
-from importlib import import_module
-
 from .backdoor import BaseClass, SolveStats, search, verify_partition  # noqa: F401  (SolveStats: tests import it here)
 from .errors import InternalError
-from .formula import FORALL, QbfFormula, _Record
+from .formula import FORALL, QbfFormula, _lazy_names, _Record
 # unused here, but bench/tracer.py wraps this name on this module
 from .formula import apply_assignment  # noqa: F401
 
 # twocnf serves step() alone, so a solve does not load it; bench/tracer.py
 # reads these names here, and each loads its module on first read
-_LAZY = {"eval_q2cnf": ("twocnf", "eval_q2cnf"), "look_ahead": ("twocnf", "look_ahead")}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, attr = _LAZY[name]
-    globals()[name] = value = getattr(import_module(f"{__package__}.{module}"), attr)
-    return value
+__getattr__ = _lazy_names(globals(), {"eval_q2cnf": ("twocnf", "eval_q2cnf"), "look_ahead": ("twocnf", "look_ahead")})
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -63,13 +53,7 @@ class StepDecision(_Record):
     """
 
     _fields = ("kind", "rationale", "pivot", "U", "arms")
-
-    def __init__(self, kind: str, rationale: str, pivot: int = None, U: dict = None, arms: tuple = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rationale", rationale)
-        object.__setattr__(self, "pivot", pivot)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "arms", arms)
+    _defaults = (None, None, None)
 
 
 def _decision(formula: QbfFormula) -> StepDecision:

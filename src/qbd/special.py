@@ -27,13 +27,13 @@ from itertools import compress
 from .backdoor import (BRUTE_CAP, SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor,
                        search, verify_partition)
 from .errors import CapError, ClassError
-from .formula import EXISTS, FORALL, QbfFormula, _Record, _substitute, require_quantified
+from .formula import EXISTS, FORALL, QbfFormula, _lazy_names, _Record, _substitute, require_quantified
 # unused here, but bench/tracer.py wraps this name on this module
 from .formula import apply_assignment  # noqa: F401
 
 # names this module once imported, which bench/tracer.py reads: each loads its module on first read
-_LAZY = {"solve_2cnf": ("solver2cnf", "solve"), "solve_aff": ("affine", "solve_aff"),
-         "eval_bruteforce": ("oracle", "eval_bruteforce")}
+__getattr__ = _lazy_names(globals(), {"solve_2cnf": ("solver2cnf", "solve"), "solve_aff": ("affine", "solve_aff"),
+                                      "eval_bruteforce": ("oracle", "eval_bruteforce")})
 
 
 @cache
@@ -42,24 +42,11 @@ def _module(name: str):
     return import_module(f"{__package__}.{name}")
 
 
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, attr = _LAZY[name]
-    globals()[name] = value = getattr(_module(module), attr)
-    return value
-
-
 class Verdict(_Record):
     """Outcome of dispatch: the truth value, which engine decided it, and
     that engine's counters."""
 
     _fields = ("value", "algorithm", "stats")
-
-    def __init__(self, value: bool, algorithm: str, stats: SolveStats):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "algorithm", algorithm)
-        object.__setattr__(self, "stats", stats)
 
 
 class _Sign:

@@ -30,12 +30,6 @@ class Prop2Cnf(_Record):
 
     _fields = ("clauses", "contradiction", "units", "binaries")
 
-    def __init__(self, clauses: frozenset, contradiction: bool, units: frozenset, binaries: frozenset):
-        object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "contradiction", contradiction)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "binaries", binaries)
-
 
 def _check_width2(clauses) -> list:
     out = []
@@ -140,12 +134,6 @@ class LookAhead(_Record):
     """
 
     _fields = ("status", "units", "U", "D")
-
-    def __init__(self, status: bool, units: frozenset, U: dict, D: frozenset):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "D", D)
 
 
 _DEAD = LookAhead(False, frozenset(), {}, frozenset())

@@ -175,6 +175,10 @@ class TestClassify:
         assert classify([HORN3]) == ClassifierVerdict(W1_HARD, "min")
         assert classify([ONE_IN_3]) == ClassifierVerdict(PARA_PSPACE_HARD, "")
 
+    def test_t3_is_maj_and_self_dual(self):
+        # so the or-and and and-or rungs, reached only when maj fails, need no t3 test
+        assert named_function("t3") == named_function("maj") == dual_function(named_function("t3"))
+
     def test_dict_input(self):
         assert classify({"impl": IMPL}) == ClassifierVerdict(FPT, "maj")
 

@@ -1,17 +1,22 @@
-"""The contract of the package's records: repr text, equality and hash on
-the compared fields only, immutability (SolveStats alone is mutable and
-unhashable), and copy and pickle round trips."""
+"""The contract of the package's records: construction by position, by
+keyword and from defaults, with a TypeError where Python's own binding
+raises one; repr text, equality and hash on the compared fields only,
+immutability (SolveStats alone is mutable and unhashable), and copy and
+pickle round trips."""
 
 import copy
 import pickle
+import pkgutil
+from importlib import import_module
 
 import pytest
 
+import qbd
 from qbd.affine import AffSystem, KernelResult
 from qbd.algebra import BoolFunction, ClassifierVerdict, Relation
 from qbd.backdoor import BaseClass, CcBackdoor, SolveStats
 from qbd.cli import BenchRecord
-from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, Violation
+from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, Violation, _Record
 from qbd.oracle import StrategyNode, StrategyTree
 from qbd.reductions import GenParams, PartitionedGraph
 from qbd.solver2cnf import StepDecision
@@ -184,3 +189,62 @@ def test_copy_and_pickle_round_trip(record, clone):
         assert twin.position(2) == 1 and 1 in twin
     with pytest.raises(AttributeError):
         setattr(twin, first_field(twin), None)
+
+
+# the records whose every field has a default
+ALL_DEFAULTED = {"Matrix", "Prefix", "SolveStats"}
+
+# the records whose own __init__ checks or derives their arguments
+CHECKED = {"AffineEquation", "Prefix", "AffSystem", "BaseClass", "Relation", "BoolFunction", "PartitionedGraph"}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_construction_binds_like_a_signature(name):
+    record = RECORDS[name][0]
+    cls = type(record)
+    fields = cls._fields
+    values = [getattr(record, f) for f in fields]
+    assert cls(*values) == record
+    assert cls(**dict(reversed(list(zip(fields, values))))) == record
+    assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == record
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, nope=None)
+    with pytest.raises(TypeError):
+        cls(*values, **{fields[0]: values[0]})
+    if name not in ALL_DEFAULTED:
+        with pytest.raises(TypeError):
+            cls(**dict(zip(fields[1:], values[1:])))
+
+
+def test_defaults_fill_the_trailing_fields():
+    assert Matrix() == Matrix((), ()) and Matrix(backdoor=(frozenset({1}),)).tractable == ()
+    assert QbfFormula(P, M).base_class is None
+    assert repr(SolveStats()) == "SolveStats(branch_nodes=0, leaves=0, max_depth=0, initial_k=0)"
+    assert SolveStats(initial_k=3) == SolveStats(0, 0, 0, 3)
+    assert GenParams(5, 2) == GenParams(5, 2, "2cnf", 1.5, 1.0, None)
+    assert GenParams(5, 2, prefix_pattern="ea").tag == "2cnf"
+    assert StepDecision("accept", "r") == StepDecision("accept", "r", None, None, None)
+    assert ClassifierVerdict("fpt", "maj").d is None
+    assert Prefix() == Prefix(())
+    assert BaseClass("horn").width is None
+
+
+def records():
+    """Every _Record subclass that a module of the package defines."""
+    for info in pkgutil.iter_modules(qbd.__path__):
+        import_module(f"qbd.{info.name}")
+    out, todo = [], [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("qbd."):
+                out.append(sub)
+    return out
+
+
+def test_only_checked_records_write_an_init():
+    found = records()
+    assert sorted(cls.__name__ for cls in found) == sorted(RECORDS)
+    assert sorted(cls.__name__ for cls in found if "__init__" in vars(cls)) == sorted(CHECKED)

@@ -59,6 +59,10 @@ input below. The sections:
                 and from each public engine (on the engines inputs also on
                 their partitions into each solvable class); a mode that
                 refuses the formula gives its error
+  classify      algebra.classify (verdict or error) on random languages of
+                one to three relations of arity 1 to 3, most of them
+                clauses with random signs, and on their dual languages,
+                under the default polymorphism cap and a small one
 
 Each line reads `section sha256 items`. Random inputs are drawn from a
 random.Random seeded with the section name and SEED.
@@ -67,6 +71,7 @@ random.Random seeded with the section name and SEED.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import sys
 import warnings
@@ -77,6 +82,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402  (bench/gen.py, standard library only)
 from qbd.affine import AffSystem, elim, kernelize, pivot, solve_aff  # noqa: E402
+from qbd.algebra import DEFAULT_POLY_CAP, Relation, classify, dual_relation  # noqa: E402
 from qbd.backdoor import SOLVABLE, BaseClass, detect_cc_backdoor, rank_classes, verify_partition  # noqa: E402
 from qbd.formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula, apply_assignment  # noqa: E402
 from qbd.oracle import BRUTE_CAP  # noqa: E402
@@ -623,6 +629,29 @@ def values_section(seed, texts):
     return sec
 
 
+def random_relation(rng):
+    """A clause of width 1 to 3 with random signs (every tuple but the one
+    it forbids), or now and then any set of tuples of arity 1 to 3."""
+    arity = rng.randint(1, 3)
+    rows = list(itertools.product((0, 1), repeat=arity))
+    if rng.random() < 0.8:
+        rows.remove(tuple(rng.randint(0, 1) for _ in range(arity)))
+    else:
+        rows = rng.sample(rows, rng.randint(0, len(rows)))
+    return Relation(f"r{arity}", arity, frozenset(rows))
+
+
+def classify_section(seed):
+    sec = Section("classify")
+    rng = random.Random(f"classify:{seed}")
+    for _ in range(RANDOM_DRAWS // 5):
+        language = [random_relation(rng) for _ in range(rng.randint(1, 3))]
+        cap = rng.choice((DEFAULT_POLY_CAP, DEFAULT_POLY_CAP, 64))
+        for rels in (language, [dual_relation(r) for r in language]):
+            sec.add(outcome(classify, rels, cap))
+    return sec
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
         print("usage: python3 tools/digest.py SEED", file=sys.stderr)
@@ -633,7 +662,8 @@ def main(argv) -> int:
                 affsystem_section(seed, texts), pivot_elim_section(seed),
                 parse_section(seed), layout_section(seed), spelling_section(seed), prefix_section(seed),
                 engines_section(seed),
-                apply_section(seed), game2cnf_section(seed), values_section(seed, texts)):
+                apply_section(seed), game2cnf_section(seed), values_section(seed, texts),
+                classify_section(seed)):
         print(sec.line(), flush=True)
     return 0
 
