@@ -29,7 +29,7 @@ variables: one per equation is forced, the rest are played.
 
 from __future__ import annotations
 
-from .backdoor import BaseClass, search, verify_partition
+from .backdoor import CLASSES, search, verify_partition
 from .errors import (
     ClassError,
     DomainError,
@@ -274,7 +274,7 @@ def solve_aff(formula: QbfFormula):
     """Decide a formula whose tractable part is affine; returns
     (value, SolveStats). Branches only on covered variables that no
     kernel equation forces, so at most 2^k leaves."""
-    return _solve_aff(formula, verify_partition(formula, BaseClass("aff")))
+    return _solve_aff(formula, verify_partition(formula, CLASSES["aff"]))
 
 
 def _solve_aff(formula: QbfFormula, cover: frozenset):

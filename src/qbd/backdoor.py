@@ -4,21 +4,22 @@ A clause cover into a base class is a set of clauses whose removal leaves
 every remaining atom inside the class; the backdoor variables are the
 variables of the covered clauses. Detection is one membership scan for all
 candidate classes at once: each atom's shape is taken once, and one rule,
-_fits, places it. The cost lives in the engines, parameterized by the cover
-size.
+_fits, places it; one rule, _smallest, picks the smallest cover (the first
+candidate on a tie) for detect_cc_backdoor and every mode of dispatch. Each
+kind has one record, CLASSES[kind]. The cost lives in the engines,
+parameterized by the cover size.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 
 from .errors import ClassError, UnknownTag
 from .formula import AffineEquation, Matrix, QbfFormula, _Record, require_quantified
 
 _KINDS = ("2cnf", "horn", "dualhorn", "aff", "ihsb-", "ihsb+", "posneg", "dual-posneg")
 _BOUNDED = ("horn", "dualhorn", "ihsb-", "ihsb+")
-_TAG_RE = re.compile(r"^(\d+)?(2cnf|horn|dualhorn|aff|ihsb[-+]|posneg|dual-posneg)$")
+_TAG_RE = re.compile(rf"^(\d+)?({'|'.join(map(re.escape, _KINDS))})$")
 
 # The sign-flipped classes, each tested by the rule of its mirror.
 _MIRROR = {"dualhorn": "horn", "ihsb+": "ihsb-", "dual-posneg": "posneg"}
@@ -67,17 +68,20 @@ class BaseClass(_Record):
         m = _TAG_RE.match(tag.strip().lower())
         if not m:
             raise UnknownTag(f"unknown base class tag {tag!r}")
-        width = int(m.group(1)) if m.group(1) else None
-        # one shared string per class name, not a copy in every verdict
-        return cls(sys.intern(m.group(2)), width)
+        width, kind = m.groups()
+        return CLASSES[kind] if width is None else cls(kind, int(width))
 
     def dual(self) -> "BaseClass":
         """The class containing exactly the sign-flipped atoms of this one."""
-        return BaseClass(_DUAL[self.kind], self.width)
+        return CLASSES[_DUAL[self.kind]] if self.width is None else BaseClass(_DUAL[self.kind], self.width)
 
     def contains(self, atom) -> bool:
         """Membership of a single atom. The empty clause is in every class."""
         return _fits(self.kind, self.width, *_shape(atom))
+
+
+# the one record of each unbounded class, which parse and dual return
+CLASSES = {kind: BaseClass(kind) for kind in _KINDS}
 
 
 def _shape(atom) -> tuple:
@@ -136,13 +140,12 @@ def _outside(atoms, classes) -> list:
     return out
 
 
-def _covers(formula: QbfFormula, candidates, cut=False):
+def _covers(formula: QbfFormula, classes, cut=False):
     """Yield (class, indices of the atoms outside it, cover variables) for
-    each candidate that has a cover, in order. Covers hold clauses only, so
-    a class with an equation outside it (every class but aff, when the
-    matrix holds one) has none. With `cut`, a union stops, and its class is
-    passed over, once it outgrows the smallest cover so far."""
-    classes = [_coerce(t) for t in candidates]
+    each of `classes`, BaseClass records, that has a cover, in order. Covers
+    hold clauses only, so a class with an equation outside it (every class
+    but aff, when the matrix holds one) has none. With `cut`, a union stops,
+    and its class is passed over, once it outgrows the smallest cover so far."""
     atoms = formula.matrix.atoms()
     k = float("inf")
     for bc, out in zip(classes, _outside(atoms, classes)):
@@ -166,12 +169,20 @@ def detect_cc_backdoor(formula: QbfFormula, base_class) -> CcBackdoor:
     clauses; an out-of-class equation has no clause cover and raises
     ClassError.
     """
-    found = rank_classes(formula, [base_class])
-    if not found:
+    return _smallest(formula, [base_class])
+
+
+def _smallest(formula: QbfFormula, candidates) -> CcBackdoor:
+    """The one selection rule, behind detect_cc_backdoor and every mode of
+    special.dispatch: the smallest cover among the candidates, the first of
+    them on a tie. ClassError when an equation leaves none a cover."""
+    classes = [_coerce(c) for c in candidates]
+    best = min(_covers(formula, classes, cut=True), key=lambda c: len(c[2]), default=None)
+    if best is None:
         eq = next(a for a in formula.matrix.atoms() if isinstance(a, AffineEquation))
-        raise ClassError(f"equation over {sorted(eq.vars)} falls outside {_coerce(base_class).tag} "
+        raise ClassError(f"equation over {sorted(eq.vars)} falls outside {', '.join(bc.tag for bc in classes)} "
                          "and cannot be covered; covers hold clauses only")
-    return found[0]
+    return _backdoor(formula, *best)
 
 
 def rank_classes(formula: QbfFormula, candidates=None) -> list:
@@ -180,8 +191,8 @@ def rank_classes(formula: QbfFormula, candidates=None) -> list:
     Ties keep the candidate order. Classes that cannot cover the formula
     (equations outside a clausal class) are skipped.
     """
-    candidates = DEFAULT_CANDIDATES if candidates is None else candidates
-    found = [_backdoor(formula, *c) for c in _covers(formula, candidates)]
+    classes = [_coerce(c) for c in (DEFAULT_CANDIDATES if candidates is None else candidates)]
+    found = [_backdoor(formula, *c) for c in _covers(formula, classes)]
     return sorted(found, key=lambda bd: bd.k)  # stable: ties keep the candidate order
 
 

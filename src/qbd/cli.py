@@ -33,7 +33,7 @@ import sys
 import time
 import warnings
 
-from .backdoor import SOLVABLE, BaseClass, detect_cc_backdoor
+from .backdoor import CLASSES, SOLVABLE, detect_cc_backdoor
 from .errors import CapError, ParamError, ParseError, PreconditionError, QbdError
 from .formula import Matrix, QbfFormula, _Record
 from .qdimacs import parse_qdimacs, parse_relations, write_qdimacs
@@ -72,7 +72,7 @@ def _emit(text: str, out) -> None:
 def _load_formula(path: str, class_tag=None) -> QbfFormula:
     formula = parse_qdimacs(_read(path))
     if class_tag is not None:
-        formula = detect_cc_backdoor(formula, BaseClass.parse(class_tag)).formula
+        formula = detect_cc_backdoor(formula, class_tag).formula
     return formula
 
 
@@ -104,12 +104,10 @@ def cmd_solve(args) -> int:
 
 def cmd_detect(args) -> int:
     formula = parse_qdimacs(_read(args.file))
-    tag = args.klass
-    if tag is None and formula.base_class is not None:
-        tag = formula.base_class.tag
-    if tag is None:
+    klass = formula.base_class if args.klass is None else args.klass
+    if klass is None:
         raise ParamError("the file declares no class; pass --class")
-    bd = detect_cc_backdoor(formula, BaseClass.parse(tag))
+    bd = detect_cc_backdoor(formula, klass)
     names = " ".join(f"x{v}" for v in sorted(bd.variables))
     print(f"k={bd.k}:" + (f" {names}" if names else ""))
     return 0
@@ -127,7 +125,7 @@ def cmd_kernelize(args) -> int:
     reduced = QbfFormula(
         kr.reduced_prefix,
         Matrix(tuple(kr.reduced_system.rows), formula.matrix.backdoor),
-        base_class=BaseClass("aff"),
+        base_class=CLASSES["aff"],
     )
     _emit(write_qdimacs(reduced), args.out)
     return 0

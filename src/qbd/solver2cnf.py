@@ -29,7 +29,7 @@ the decisions that `step` makes.
 
 from __future__ import annotations
 
-from .backdoor import BaseClass, SolveStats, search, verify_partition  # noqa: F401  (SolveStats: tests import it here)
+from .backdoor import CLASSES, SolveStats, search, verify_partition  # noqa: F401  (SolveStats: tests import it here)
 from .errors import InternalError
 from .formula import FORALL, QbfFormula, _lazy_names, _Record
 # unused here, but bench/tracer.py wraps this name on this module
@@ -117,7 +117,7 @@ def _decision(formula: QbfFormula) -> StepDecision:
 
 def step(formula: QbfFormula) -> StepDecision:
     """The solver's decision at the current state, without recursing."""
-    verify_partition(formula, BaseClass("2cnf"))
+    verify_partition(formula, CLASSES["2cnf"])
     return _decision(formula)
 
 
@@ -332,7 +332,7 @@ class _Search:
 
 def solve(formula: QbfFormula):
     """Decide the formula; returns (value, SolveStats)."""
-    return _solve(formula, verify_partition(formula, BaseClass("2cnf")))
+    return _solve(formula, verify_partition(formula, CLASSES["2cnf"]))
 
 
 def _solve(formula: QbfFormula, cover: frozenset):

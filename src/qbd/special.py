@@ -8,38 +8,30 @@ The search plays on the list of clauses left, so a solve builds no formula.
 
 An engine's public function runs backdoor.verify_partition, then a private
 core on the formula and its cover; _ENGINES maps each class to its core.
-dispatch() picks an engine: a forced one, or the smallest detected cover
-among the solvable classes, with brute force as the fallback when no cover
-beats plain enumeration, and hands the core the partition its scan built.
-The 2-CNF and aff cores and brute force import their modules (solver2cnf,
-affine, oracle) the first time they run, through one cached loader, so a
-solve loads only the engine it runs.
+dispatch() applies backdoor's one selection rule, the smallest cover and
+the first candidate on a tie, to the forced class or to every solvable one;
+brute force is the fallback when no cover beats plain enumeration. The
+2-CNF and aff cores and brute force import their modules (solver2cnf,
+affine, oracle) in their bodies, so a solve loads only the engine it runs.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from functools import cache, partial
-from importlib import import_module
+from functools import partial
 from itertools import compress
 
-from .backdoor import (BRUTE_CAP, SOLVABLE, BaseClass, SolveStats, _backdoor, _covers, detect_cc_backdoor,
-                       search, verify_partition)
+from .backdoor import BRUTE_CAP, CLASSES, SOLVABLE, SolveStats, _smallest, search, verify_partition
 from .errors import CapError, ClassError
 from .formula import EXISTS, FORALL, QbfFormula, _lazy_names, _Record, _substitute, require_quantified
-# unused here, but bench/tracer.py wraps this name on this module
+# unused here, but bench/tracer.py wraps these names on this module
+from .backdoor import detect_cc_backdoor  # noqa: F401
 from .formula import apply_assignment  # noqa: F401
 
 # names this module once imported, which bench/tracer.py reads: each loads its module on first read
 __getattr__ = _lazy_names(globals(), {"solve_2cnf": ("solver2cnf", "solve"), "solve_aff": ("affine", "solve_aff"),
                                       "eval_bruteforce": ("oracle", "eval_bruteforce")})
-
-
-@cache
-def _module(name: str):
-    """The package module `name`, imported the first time a solve needs it."""
-    return import_module(f"{__package__}.{name}")
 
 
 class Verdict(_Record):
@@ -94,20 +86,24 @@ def _solve_sign(formula: QbfFormula, cover: frozenset, good: int):
 def solve_posneg(formula: QbfFormula):
     """Decide a formula whose tractable part holds positive clauses and
     negative units; returns (value, SolveStats)."""
-    return _solve_sign(formula, verify_partition(formula, BaseClass("posneg")), 1)
+    return _solve_sign(formula, verify_partition(formula, CLASSES["posneg"]), 1)
 
 
 def solve_dual_posneg(formula: QbfFormula):
     """Mirror engine: negative clauses plus positive units."""
-    return _solve_sign(formula, verify_partition(formula, BaseClass("dual-posneg")), 0)
+    return _solve_sign(formula, verify_partition(formula, CLASSES["dual-posneg"]), 0)
 
 
 def _solve_2cnf(formula: QbfFormula, cover: frozenset):
-    return _module("solver2cnf")._solve(formula, cover)
+    from . import solver2cnf
+
+    return solver2cnf._solve(formula, cover)
 
 
 def _solve_aff(formula: QbfFormula, cover: frozenset):
-    return _module("affine")._solve_aff(formula, cover)
+    from . import affine
+
+    return affine._solve_aff(formula, cover)
 
 
 # one engine core per solvable class, in the order of SOLVABLE: (formula, cover) -> (value, SolveStats)
@@ -132,19 +128,19 @@ def resolve_brute_cap(flag: int = None) -> int:
 
 
 def _brute(formula: QbfFormula, cap) -> Verdict:
+    from .oracle import eval_bruteforce
+
     n = len(formula.prefix)
-    value = _module("oracle").eval_bruteforce(formula, cap=cap)
-    stats = SolveStats(branch_nodes=0, leaves=1 << n, max_depth=n, initial_k=n)
-    return Verdict(value, "brute", stats)
+    return Verdict(eval_bruteforce(formula, cap=cap), "brute", SolveStats(0, 1 << n, n, n))
 
 
 def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None) -> Verdict:
     """Decide the formula with the best available engine.
 
     `algorithm` forces one of the SOLVABLE engines or brute; a formula
-    declaring a different class is refused. Otherwise one scan ranks the
-    solvable classes, the smallest cover wins (the declared class breaking
-    ties), and only the winner's partition is built.
+    declaring a different class is refused. Otherwise the candidates are
+    the solvable classes, the declared one first. One detection picks the
+    smallest cover, the first candidate on a tie, and builds its partition.
     A cover as large as the variable count buys nothing: such formulas fall
     back to brute force under `brute_cap` (see resolve_brute_cap) and run
     the covered engine anyway, with a warning, above it.
@@ -153,30 +149,24 @@ def dispatch(formula: QbfFormula, algorithm: str = None, brute_cap: int = None) 
     """
     brute_cap = resolve_brute_cap(brute_cap)
     n = len(formula.prefix)
-    if algorithm is not None:
-        if algorithm == "brute":
-            return _brute(formula, brute_cap)
-        if algorithm not in _ENGINES:
-            raise ClassError(f"no engine named {algorithm!r}")
-        if formula.base_class is not None and formula.base_class.tag != algorithm:
-            raise ClassError(
-                f"formula declares {formula.base_class.tag}, cannot force {algorithm}"
-            )
-        best = detect_cc_backdoor(formula, algorithm)
-    else:
+    if algorithm == "brute":
+        return _brute(formula, brute_cap)
+    if algorithm is None:
         declared = formula.base_class.kind if formula.base_class is not None else None
-        candidates = sorted(SOLVABLE, key=lambda tag: tag != declared)  # declared first
-        # the head of rank_classes(formula, candidates); aff covers every
-        # formula (equations are always inside it), so there is always one
-        best = _backdoor(formula, *min(_covers(formula, candidates, cut=True), key=lambda c: len(c[2])))
-        if best.k >= n > 0:
-            if n <= brute_cap:
-                return _brute(formula, brute_cap)
-            warnings.warn(
-                f"no cover smaller than the {n} variables; running {best.base_class.tag} "
-                f"with k={best.k} anyway",
-                stacklevel=2,
-            )
+        candidates = [CLASSES[t] for t in sorted(SOLVABLE, key=lambda t: t != declared)]  # declared first
+    elif algorithm not in _ENGINES:
+        raise ClassError(f"no engine named {algorithm!r}")
+    elif formula.base_class is not None and formula.base_class.tag != algorithm:
+        raise ClassError(f"formula declares {formula.base_class.tag}, cannot force {algorithm}")
+    else:
+        candidates = [CLASSES[algorithm]]
+    # aff covers every formula (equations are always inside it), so only a forced class can find none
+    best = _smallest(formula, candidates)
+    if algorithm is None and best.k >= n > 0:
+        if n <= brute_cap:
+            return _brute(formula, brute_cap)
+        warnings.warn(f"no cover smaller than the {n} variables; running {best.base_class.tag} with k={best.k} anyway",
+                      stacklevel=2)
     require_quantified(formula)
     value, stats = _ENGINES[best.base_class.kind](best.formula, best.variables)
     return Verdict(value, best.base_class.tag, stats)

@@ -78,6 +78,28 @@ class TestBaseClassParse:
         with pytest.raises(UnknownTag):
             bc(bad)
 
+    @pytest.mark.parametrize("kind", DEFAULT_CANDIDATES)
+    def test_a_plain_tag_parses_to_its_one_record(self, kind):
+        record = bc(kind)
+        assert record == BaseClass(kind)
+        for spelling in (kind.upper(), f"  {kind.title()}\t", f"\n{kind}  "):
+            assert bc(spelling) is record
+        assert record.dual() is bc(record.dual().tag)
+        assert record.dual().dual() is record
+
+    def test_a_bounded_tag_parses_to_a_new_record(self):
+        assert bc("3horn") == BaseClass("horn", 3) and bc("3horn") is not bc("3horn")
+        assert bc(" 02IHSB+ ") == BaseClass("ihsb+", 2)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("32cnf", "class '2cnf' takes no width bound"),
+        ("1horn", "width bound must be an int >= 2, got 1"),
+        ("horn3", "unknown base class tag 'horn3'"),
+    ])
+    def test_rejection_messages(self, bad, message):
+        with pytest.raises(UnknownTag, match=f"^{re.escape(message)}$"):
+            bc(bad)
+
     def test_width_validation_on_construction(self):
         with pytest.raises(UnknownTag):
             BaseClass("horn", 1)

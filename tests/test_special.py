@@ -13,7 +13,7 @@ from qbd import backdoor, formula, oracle, special
 from qbd.affine import solve_aff
 from qbd.backdoor import SOLVABLE, BaseClass, SolveStats, detect_cc_backdoor, rank_classes
 from qbd.errors import CapError, ClassError, DomainError
-from qbd.formula import FORALL, Matrix, Prefix, QbfFormula, clause
+from qbd.formula import FORALL, AffineEquation, Matrix, Prefix, QbfFormula, clause
 from qbd.oracle import eval_bruteforce
 from qbd.qdimacs import parse_qdimacs
 from qbd.reductions import GenParams, dualize, gen_random
@@ -233,6 +233,12 @@ class TestDispatch:
         assert dispatch(f, algorithm="2cnf").algorithm == "2cnf"
         with pytest.raises(ClassError, match="declares 2cnf, cannot force aff"):
             dispatch(f, algorithm="aff")
+        # a forced class that cannot cover an equation fails as detection does
+        g = QbfFormula(Prefix.from_string("e1 e2"), Matrix((AffineEquation(frozenset({1, 2}), 1),)))
+        with pytest.raises(ClassError) as detected:
+            detect_cc_backdoor(g, "2cnf")
+        with pytest.raises(ClassError, match=re.escape(str(detected.value))):
+            dispatch(g, algorithm="2cnf")
 
     def test_forced_brute_ignores_the_declared_class(self):
         f = instance("e1 e2", [clause(1, 2)], base_class="2cnf")
@@ -381,9 +387,12 @@ class TestDispatch:
     def test_one_detection_per_dispatch(self, f, forced):
         """Counts membership scans: auto dispatch ranks the classes and
         builds the winner's partition from one scan, a forced engine detects
-        once, and the engine's core checks nothing again."""
+        once, and the engine's core checks nothing again. No mode builds or
+        parses a BaseClass: each kind's record is made once, at import."""
         real = backdoor._outside
         with mock.patch.object(backdoor, "_outside", side_effect=real) as scans, \
+                mock.patch.object(BaseClass, "__init__", autospec=True, side_effect=BaseClass.__init__) as built, \
+                mock.patch.object(BaseClass, "parse", side_effect=BaseClass.parse) as parsed, \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the over-cap warning
             for cap in (0, 24):  # the covered engine above the cap, brute force under it
@@ -399,3 +408,4 @@ class TestDispatch:
             scans.reset_mock()
             dispatch(f, algorithm="brute")
             assert scans.call_count == 0
+        assert (built.call_count, parsed.call_count) == (0, 0)

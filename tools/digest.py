@@ -63,6 +63,11 @@ input below. The sections:
                 one to three relations of arity 1 to 3, most of them
                 clauses with random signs, and on their dual languages,
                 under the default polymorphism cap and a small one
+  classes       BaseClass.parse (repr, tag, dual and membership of a fixed
+                list of atoms, or the error) on random spellings: the eight
+                kinds in mixed case with blanks around them, width prefixes
+                (0, 1, 02, 3, an Arabic-Indic 3; 3 before 2cnf makes 32cnf),
+                a trailing width or sign, unknown words and the empty string
 
 Each line reads `section sha256 items`. Random inputs are drawn from a
 random.Random seeded with the section name and SEED.
@@ -652,6 +657,36 @@ def classify_section(seed):
     return sec
 
 
+# one atom of every shape the membership rule tells apart, up to width 5
+CLASS_ATOMS = (frozenset(), frozenset({1}), frozenset({-1}), frozenset({1, 2}), frozenset({1, -2}),
+               frozenset({-1, -2}), frozenset({1, 2, 3}), frozenset({1, -2, -3}), frozenset({-1, 2, 3}),
+               frozenset({-1, -2, -3}), frozenset({1, -2, -3, -4}), frozenset({-1, -2, -3, -4}),
+               frozenset({1, 2, 3, 4, 5}), frozenset({-1, 2, 3, 4, 5}), AffineEquation(frozenset({1, 2}), 1))
+
+
+def random_spelling(rng):
+    """A class tag as a reader might write it, or a word that is none."""
+    if rng.random() < 0.1:
+        return rng.choice(("", " ", "cnf", "maj", "horn-", "x2cnf", "ihsb", "dual", "posneg+", "2 cnf"))
+    kind = rng.choice(TAGS[:8])
+    word = "".join(c.upper() if rng.random() < 0.5 else c for c in kind)
+    if rng.random() < 0.4:
+        word = rng.choice(("0", "1", "2", "02", "3", "4", "12", "007", "\u0663")) + word
+    if rng.random() < 0.05:
+        word += rng.choice(("3", "-", "+", "x"))
+    return rng.choice(("", " ", "\t", "  ")) + word + rng.choice(("", " ", "\n", " \t"))
+
+
+def class_section(seed):
+    sec = Section("classes")
+    rng = random.Random(f"classes:{seed}")
+    for _ in range(RANDOM_DRAWS):
+        spelling = random_spelling(rng)
+        sec.add((spelling, outcome(BaseClass.parse, spelling, show=lambda b: (
+            repr(b), b.tag, repr(b.dual()), tuple(b.contains(a) for a in CLASS_ATOMS)))))
+    return sec
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
         print("usage: python3 tools/digest.py SEED", file=sys.stderr)
@@ -663,7 +698,7 @@ def main(argv) -> int:
                 parse_section(seed), layout_section(seed), spelling_section(seed), prefix_section(seed),
                 engines_section(seed),
                 apply_section(seed), game2cnf_section(seed), values_section(seed, texts),
-                classify_section(seed)):
+                classify_section(seed), class_section(seed)):
         print(sec.line(), flush=True)
     return 0
 
