@@ -29,7 +29,7 @@ variables: one per equation is forced, the rest are played.
 
 from __future__ import annotations
 
-from .backdoor import CLASSES, search, verify_partition
+from .backdoor import CLASSES, SolveStats, search, verify_partition
 from .errors import (
     ClassError,
     DomainError,
@@ -281,7 +281,7 @@ def _solve_aff(formula: QbfFormula, cover: frozenset):
     try:
         kr = kernelize(AffSystem.from_formula(formula), cover)
     except PreconditionError:  # the parity game alone is false
-        return search(_Walk((), (), [frozenset()]), len(cover))  # the empty clause: a False leaf at the root
+        return False, SolveStats(0, 1, 0, len(cover))  # one False leaf, at the root
     return search(_Walk(kr.reduced_prefix.entries, kr.forced, formula.matrix.backdoor), len(cover))
 
 

@@ -88,6 +88,18 @@ def from_callable(name: str, arity: int, fn) -> BoolFunction:
 
 _T_RE = re.compile(r"^t([0-9]+)$")
 
+# the ladder's fixed functions: tag -> (arity, definition on bits)
+_FIXED = {
+    "maj": (3, lambda x, y, z: 1 if x + y + z >= 2 else 0),
+    "mnrty": (3, lambda x, y, z: x ^ y ^ z),
+    "min": (2, lambda x, y: x & y),
+    "max": (2, lambda x, y: x | y),
+    "and-or": (3, lambda x, y, z: x & (y | z)),
+    "or-and": (3, lambda x, y, z: x | (y & z)),
+    "and-ornot": (3, lambda x, y, z: x & (y | (1 - z))),
+    "or-andnot": (3, lambda x, y, z: x | (y & (1 - z))),
+}
+
 
 def named_function(tag: str) -> BoolFunction:
     """The ladder's function vocabulary, by tag.
@@ -96,22 +108,8 @@ def named_function(tag: str) -> BoolFunction:
     1), and the four mixed ternaries and-or x&(y|z), or-and x|(y&z),
     and-ornot x&(y|~z), or-andnot x|(y&~z).
     """
-    if tag == "maj":
-        return from_callable("maj", 3, lambda x, y, z: 1 if x + y + z >= 2 else 0)
-    if tag == "mnrty":
-        return from_callable("mnrty", 3, lambda x, y, z: x ^ y ^ z)
-    if tag == "min":
-        return from_callable("min", 2, lambda x, y: x & y)
-    if tag == "max":
-        return from_callable("max", 2, lambda x, y: x | y)
-    if tag == "and-or":
-        return from_callable("and-or", 3, lambda x, y, z: x & (y | z))
-    if tag == "or-and":
-        return from_callable("or-and", 3, lambda x, y, z: x | (y & z))
-    if tag == "and-ornot":
-        return from_callable("and-ornot", 3, lambda x, y, z: x & (y | (1 - z)))
-    if tag == "or-andnot":
-        return from_callable("or-andnot", 3, lambda x, y, z: x | (y & (1 - z)))
+    if tag in _FIXED:
+        return from_callable(tag, *_FIXED[tag])
     m = _T_RE.match(tag)
     if m:
         d = int(m.group(1))

@@ -268,6 +268,4 @@ def _show(atom) -> str:
     if isinstance(atom, AffineEquation):
         vs = " + ".join(f"x{v}" for v in sorted(atom.vars)) or "0"
         return f"{vs} = {atom.rhs}"
-    if not atom:
-        return "()"
     return "(" + " ".join(str(l) for l in sorted(atom, key=abs)) + ")"

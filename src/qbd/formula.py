@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from importlib import import_module
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Union
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ClassError, DomainError, TautologyError
 
@@ -192,7 +192,7 @@ class AffineEquation(_Record):
         return not self.vars and self.rhs == 0
 
 
-Atom = Union[Clause, AffineEquation]
+Atom = Clause | AffineEquation
 
 
 def atom_vars(atom: Atom) -> frozenset:
@@ -362,7 +362,7 @@ def _apply_equation(eq: AffineEquation, tau: Assignment):
             parity ^= 1 if tau[v] else 0
         else:
             rest.append(v)
-    out = AffineEquation(frozenset(rest), parity)
+    out = AffineEquation._kept(frozenset(rest), parity)  # parts of a checked equation; tau is checked
     if out.is_trivial:
         return None
     return out

@@ -85,14 +85,19 @@ def _fold(table: int, quants, i: int) -> bool:
     return _fold(low, quants, i + 1) and _fold(high, quants, i + 1)
 
 
-def eval_bruteforce(formula: QbfFormula, cap: int = BRUTE_CAP) -> bool:
-    """Evaluate by full enumeration. Raises CapError beyond `cap` variables
-    (pass cap=None to lift the limit)."""
+def _game(formula: QbfFormula, cap) -> tuple:
+    """The matrix table and the quantifiers in prefix order, for a formula
+    of at most `cap` variables (None: any number); else CapError."""
     n = len(formula.prefix)
     if cap is not None and n > cap:
         raise CapError(f"{n} variables exceed the brute-force cap {cap}")
-    quants = [q for _, q in formula.prefix]
-    return _fold(matrix_table(formula), quants, 0)
+    return matrix_table(formula), [q for _, q in formula.prefix]
+
+
+def eval_bruteforce(formula: QbfFormula, cap: int = BRUTE_CAP) -> bool:
+    """Evaluate by full enumeration. Raises CapError beyond `cap` variables
+    (pass cap=None to lift the limit)."""
+    return _fold(*_game(formula, cap), 0)
 
 
 class StrategyNode(_Record):
@@ -134,11 +139,8 @@ def extract_strategy(formula: QbfFormula, cap: int = BRUTE_CAP, leaf_cap: int = 
     The tree has one leaf per play consistent with the winner's choices,
     2^(opponent variables) of them; leaf_cap bounds that count.
     """
-    n = len(formula.prefix)
-    if cap is not None and n > cap:
-        raise CapError(f"{n} variables exceed the brute-force cap {cap}")
-    quants = [q for _, q in formula.prefix]
-    table = matrix_table(formula)
+    table, quants = _game(formula, cap)
+    n = len(quants)
     value = _fold(table, quants, 0)
     mine = EXISTS if value else FORALL
     branching = sum(1 for q in quants if q != mine)

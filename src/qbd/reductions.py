@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 
-from .backdoor import BaseClass, _show
+from .backdoor import CLASSES, BaseClass, _show
 from .errors import CapError, ClassError, GraphError, ParamError, ParseError
 from .formula import (
     EXISTS,
@@ -98,50 +98,35 @@ def parse_graph(text: str) -> PartitionedGraph:
         raise ParseError(str(exc)) from None
 
 
-def _vertex_ids(g: PartitionedGraph):
-    ids = {}
-    for part in g.parts:
-        for v in part:
-            ids[v] = len(ids) + 1
-    return ids
+def _selectors(g: PartitionedGraph, blocks: int):
+    """What both encodings share: the vertex ids 1..n in part order,
+    `blocks` blocks of k selector ids numbered after them, and the prefix
+    with the vertices universal, then the blocks existential."""
+    if g.k < 1:
+        raise GraphError("at least one part is required")
+    y = {v: i for i, v in enumerate(g.vertices(), start=1)}
+    sel = [[len(y) + 1 + b * g.k + i for i in range(g.k)] for b in range(blocks)]
+    entries = [(v, FORALL) for v in y.values()] + [(s, EXISTS) for block in sel for s in block]
+    return y, sel, Prefix(tuple(entries))
 
 
 def mis_to_horn(g: PartitionedGraph) -> QbfFormula:
     """Encode the transversal independent-set question over a matrix whose
     uncovered part is Horn; the cover is the single all-parts clause over
     the k selector variables. FALSE iff the set exists."""
-    if g.k < 1:
-        raise GraphError("at least one part is required")
-    y = _vertex_ids(g)
-    nv = len(y)
-    x = {i: nv + 1 + i for i in range(g.k)}
-    entries = [(y[v], FORALL) for part in g.parts for v in part]
-    entries += [(x[i], EXISTS) for i in range(g.k)]
+    y, (x,), prefix = _selectors(g, 1)
     tract = []
     for i, part in enumerate(g.parts):
         for v in part:
             lits = {y[v]} | {-y[u] for u in g.neighbors(v)} | {-x[i]}
             tract.append(frozenset(lits))
-    back = (frozenset(x[i] for i in range(g.k)),)
-    return QbfFormula(
-        prefix=Prefix(tuple(entries)),
-        matrix=Matrix(tuple(tract), back),
-        base_class=BaseClass("horn"),
-    )
+    return QbfFormula(prefix, Matrix(tuple(tract), (frozenset(x),)), CLASSES["horn"])
 
 
 def mis_to_ihsb_minus(g: PartitionedGraph) -> QbfFormula:
     """Same question with the uncovered part made of negative clauses and
     implications; the cover holds the 2k selector variables."""
-    if g.k < 1:
-        raise GraphError("at least one part is required")
-    y = _vertex_ids(g)
-    nv = len(y)
-    x = {i: nv + 1 + i for i in range(g.k)}
-    z = {i: nv + g.k + 1 + i for i in range(g.k)}
-    entries = [(y[v], FORALL) for part in g.parts for v in part]
-    entries += [(x[i], EXISTS) for i in range(g.k)]
-    entries += [(z[i], EXISTS) for i in range(g.k)]
+    y, (x, z), prefix = _selectors(g, 2)
     tract = []
     for i, part in enumerate(g.parts):
         for v in part:
@@ -151,12 +136,7 @@ def mis_to_ihsb_minus(g: PartitionedGraph) -> QbfFormula:
             tract.append(frozenset(lits))
         for v in part:
             tract.append(frozenset((-z[i], y[v])))
-    back = (frozenset([x[i] for i in range(g.k)] + [z[i] for i in range(g.k)]),)
-    return QbfFormula(
-        prefix=Prefix(tuple(entries)),
-        matrix=Matrix(tuple(tract), back),
-        base_class=BaseClass("ihsb-"),
-    )
+    return QbfFormula(prefix, Matrix(tuple(tract), (frozenset(x + z),)), CLASSES["ihsb-"])
 
 
 def _horn_head(c) -> list:
@@ -172,9 +152,8 @@ def horn_to_3horn(formula: QbfFormula) -> QbfFormula:
     fresh and appended innermost existential; the covered part and the
     truth value are untouched.
     """
-    horn = BaseClass("horn")
     for atom in formula.matrix.tractable:
-        if not horn.contains(atom):
+        if not CLASSES["horn"].contains(atom):
             raise ClassError(f"uncovered atom {_show(atom)} is not Horn")
     used = set(formula.prefix.variables()) | {abs(l) for a in formula.matrix.atoms() for l in a}
     next_id = max(used, default=0) + 1

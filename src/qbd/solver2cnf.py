@@ -29,7 +29,7 @@ the decisions that `step` makes.
 
 from __future__ import annotations
 
-from .backdoor import CLASSES, SolveStats, search, verify_partition  # noqa: F401  (SolveStats: tests import it here)
+from .backdoor import CLASSES, search, verify_partition
 from .errors import InternalError
 from .formula import FORALL, QbfFormula, _lazy_names, _Record
 # unused here, but bench/tracer.py wraps this name on this module

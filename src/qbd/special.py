@@ -106,8 +106,9 @@ def _solve_aff(formula: QbfFormula, cover: frozenset):
     return affine._solve_aff(formula, cover)
 
 
-# one engine core per solvable class, in the order of SOLVABLE: (formula, cover) -> (value, SolveStats)
-_ENGINES = dict(zip(SOLVABLE, (_solve_2cnf, _solve_aff, partial(_solve_sign, good=1), partial(_solve_sign, good=0))))
+# one engine core per solvable class: (formula, cover) -> (value, SolveStats)
+_ENGINES = {"2cnf": _solve_2cnf, "aff": _solve_aff,
+            "posneg": partial(_solve_sign, good=1), "dual-posneg": partial(_solve_sign, good=0)}
 
 
 def resolve_brute_cap(flag: int = None) -> int:

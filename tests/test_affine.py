@@ -15,6 +15,7 @@ from qbd.errors import (
     QuantifierError,
 )
 from qbd.formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula, clause
+from qbd.oracle import eval_bruteforce
 from helpers import naive_eval, random_prefix
 
 
@@ -244,6 +245,18 @@ class TestKernelize:
         # the same with x3=1 in place of x1+x3=1: x2=0 and x2=1 contradict
         with pytest.raises(PreconditionError, match="contradictory"):
             kernelize(system("e1 e2 e3", eq(0, 2, 3), eq(0, 3), eq(1, 3)), set())
+
+    def test_a_pivot_that_shrinks_rows_to_one_uncovered_variable(self):
+        # both rows keep x1 and x2 outside the cover {3, 4}, so the second
+        # phase pivots x2's bit at the first row: x1 leaves both rows
+        s = system("a1 e2 e3 e4", eq(1, 1, 2, 3), eq(0, 1, 2, 4))
+        kr = kernelize(s, {3, 4})
+        assert kr.reduced_prefix.to_string() == "e2 e3 e4"
+        assert kr.reduced_system.rows == (eq(1, 2, 3), eq(1, 3, 4))
+        assert kr.forced == ((3, eq(1, 2, 3)), (4, eq(1, 3, 4)))
+        for back in ((), (clause(3), clause(-4)), (clause(3), clause(4))):
+            before = eval_bruteforce(as_formula(s, back))
+            assert eval_bruteforce(QbfFormula(kr.reduced_prefix, Matrix(kr.reduced_system.rows, back))) == before
 
     def test_a_prefix_wider_than_a_machine_word(self):
         # covered x1 and x200 sit at positions 0 and 199. Eliminating x160

@@ -179,6 +179,11 @@ class TestClassify:
         # so the or-and and and-or rungs, reached only when maj fails, need no t3 test
         assert named_function("t3") == named_function("maj") == dual_function(named_function("t3"))
 
+    def test_the_escape_rung(self):
+        # or3 admits or-and, and or-andnot too, which makes it tractable; its dual mirrors both
+        assert classify([OR3]) == ClassifierVerdict(FPT, "or-andnot")
+        assert classify([dual_relation(OR3)]) == ClassifierVerdict(FPT, "and-ornot")
+
     def test_dict_input(self):
         assert classify({"impl": IMPL}) == ClassifierVerdict(FPT, "maj")
 

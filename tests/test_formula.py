@@ -63,6 +63,8 @@ class TestAffineEquation:
             AffineEquation(frozenset({0}), 1)
         with pytest.raises(DomainError):
             AffineEquation(frozenset({1}), 2)
+        with pytest.raises(DomainError, match="^literal 0 is not a variable$"):
+            AffineEquation.from_literals([1, 0])
 
     def test_atom_vars_covers_both_shapes(self):
         assert atom_vars(AffineEquation(frozenset({1, 4}), 0)) == frozenset({1, 4})
@@ -82,6 +84,8 @@ class TestPrefix:
         assert p.quantifier(2) == FORALL
         assert p.is_existential(3) and p.is_universal(2)
         assert 2 in p and 9 not in p
+        with pytest.raises(DomainError, match="^variable 9 not in prefix$"):
+            p.position(9)
 
     def test_from_string_takes_a_quantifier_then_ascii_digits(self):
         for tok in ("e", "ea", "a+2", "e1_0", "e\u0661", "x1", "1", "e-3", "e 1a"):
@@ -92,6 +96,10 @@ class TestPrefix:
     def test_duplicate_variable_rejected(self):
         with pytest.raises(DomainError):
             Prefix(((1, EXISTS), (1, FORALL)))
+
+    def test_variable_0_rejected(self):
+        with pytest.raises(DomainError, match="^prefix variable must be a positive int, got 0$"):
+            Prefix(((0, EXISTS),))
 
     def test_inner_and_outer(self):
         p = Prefix.from_string("e4 a2 e7")

@@ -110,6 +110,14 @@ def test_classify_and_generate_load_no_heavy_module(tmp_path):
     assert run["ran"] == ["qbd.reductions"]
 
 
+def test_import_without_site_hooks_loads_no_typing():
+    # site hooks may import typing first, so only `python -S` shows what qbd itself loads
+    done = subprocess.run([sys.executable, "-S", "-c", "import sys; import qbd.cli; print('typing' in sys.modules)"],
+                          capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_lazy_names_are_the_originals():
     assert special.solve_2cnf is solver2cnf.solve
     assert special.solve_aff is affine.solve_aff

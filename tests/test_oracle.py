@@ -169,6 +169,14 @@ class TestVerifyStrategyShape:
         with pytest.raises(ShapeError, match="leaf reached"):
             verify_strategy(self.formula, stub)
 
+    def test_tree_deeper_than_the_prefix(self):
+        deep = StrategyTree(
+            EXISTS,
+            StrategyNode(1, ((1, StrategyNode(2, ((0, StrategyNode(3, ((0, True),))), (1, True)))),)),
+        )
+        with pytest.raises(ShapeError, match="^expected a leaf below position 2, got x3$"):
+            verify_strategy(self.formula, deep)
+
     def test_leaf_label_must_match_winner(self):
         flipped = StrategyTree(
             EXISTS,

@@ -246,6 +246,8 @@ def test_count_mismatch_warns():
         ("p cnf 3 1\ne 1 \u0663 0\n1 0\n", "expected an integer, got '\u0663'", 2),
         ("p cnf 3 1\ne 1 2 3 0\nx -1 +2 0\n", "expected an integer, got '+2'", 3),
         ("p cnf +3 1\n", "expected an integer, got '+3'", 1),
+        ("p cnf -1 0\n", "header counts must be nonnegative", 1),
+        ("p cnf 2 1\ne 1 2 0\nx 1 3 0\n", "variable 3 exceeds the declared count 2", 3),
         ("p cnf 3 1_0\n", "expected an integer, got '1_0'", 1),
     ],
 )
@@ -282,6 +284,10 @@ def test_relations_round_trip():
 def test_duplicate_tuples_collapse():
     rels = parse_relations("r 1 : 1, 1, 0\n")
     assert rels["r"].tuples == frozenset({(1,), (0,)})
+
+
+def test_an_empty_tuple_between_commas_is_skipped():
+    assert parse_relations("r 2 : 01,, 10\n")["r"].tuples == frozenset({(0, 1), (1, 0)})
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,8 @@ class TestMisEncodings:
     def test_single_part_needs_a_vertex(self):
         with pytest.raises(GraphError):
             mis_to_horn(PartitionedGraph((), frozenset()))
+        with pytest.raises(GraphError, match="^at least one part is required$"):
+            mis_to_ihsb_minus(PartitionedGraph((), frozenset()))
 
     def test_encodings_agree_with_the_graph(self):
         rng = random.Random(51)

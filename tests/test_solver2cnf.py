@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 
 from qbd import solver2cnf
-from qbd.backdoor import rank_classes
+from qbd.backdoor import SolveStats, rank_classes
 from qbd.errors import ClassError, DomainError
 from qbd.formula import EXISTS, FORALL, Matrix, Prefix, QbfFormula, apply_assignment, clause
 from qbd.oracle import eval_bruteforce
 from qbd.qdimacs import parse_qdimacs
-from qbd.solver2cnf import ACCEPT, BRANCH, FOLLOW, REJECT, SolveStats, solve, step
+from qbd.solver2cnf import ACCEPT, BRANCH, FOLLOW, REJECT, solve, step
 from qbd.twocnf import eval_q2cnf, prop
 from helpers import random_prefix, running_example
 from strategies import PROPERTY, formulas

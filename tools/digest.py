@@ -68,6 +68,15 @@ input below. The sections:
                 kinds in mixed case with blanks around them, width prefixes
                 (0, 1, 02, 3, an Arabic-Indic 3; 3 before 2cnf makes 32cnf),
                 a trailing width or sign, unknown words and the empty string
+  hardness      mis_to_horn, mis_to_ihsb_minus and mis_bruteforce on random
+                partitioned graphs with string vertex names, some with no
+                parts, an empty part or single-vertex parts; horn_to_3horn
+                and dualize on random formulas and on random Horn ones with
+                wide clauses (now and then one atom outside Horn);
+                named_function on the eight fixed tags, t2 to t6, t1, t02
+                and unknown words; eval_bruteforce, extract_strategy and
+                verify_strategy on random formulas under variable and leaf
+                caps that pass and caps that fail
 
 Each line reads `section sha256 items`. Random inputs are drawn from a
 random.Random seeded with the section name and SEED.
@@ -87,11 +96,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402  (bench/gen.py, standard library only)
 from qbd.affine import AffSystem, elim, kernelize, pivot, solve_aff  # noqa: E402
-from qbd.algebra import DEFAULT_POLY_CAP, Relation, classify, dual_relation  # noqa: E402
+from qbd.algebra import DEFAULT_POLY_CAP, Relation, classify, dual_relation, named_function  # noqa: E402
 from qbd.backdoor import SOLVABLE, BaseClass, detect_cc_backdoor, rank_classes, verify_partition  # noqa: E402
 from qbd.formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula, apply_assignment  # noqa: E402
-from qbd.oracle import BRUTE_CAP  # noqa: E402
+from qbd.oracle import BRUTE_CAP, eval_bruteforce, extract_strategy, verify_strategy  # noqa: E402
 from qbd.qdimacs import parse_qdimacs  # noqa: E402
+from qbd.reductions import (  # noqa: E402
+    PartitionedGraph, dualize, horn_to_3horn, mis_bruteforce, mis_to_horn, mis_to_ihsb_minus)
 from qbd.solver2cnf import solve as solve_2cnf  # noqa: E402
 from qbd.special import dispatch, solve_dual_posneg, solve_posneg  # noqa: E402
 
@@ -687,6 +698,79 @@ def class_section(seed):
     return sec
 
 
+def random_graph(rng):
+    """Up to four parts of string-named vertices and random edges; now and
+    then no parts, an empty part, or single-vertex parts only."""
+    r = rng.random()
+    k = 0 if r < 0.05 else rng.randint(1, 4)
+    sizes = [rng.randint(0 if rng.random() < 0.1 else 1, 1 if r > 0.85 else 3) for _ in range(k)]
+    names = iter(f"v{j}" for j in rng.sample(range(100), sum(sizes)))
+    parts = tuple(tuple(next(names) for _ in range(size)) for size in sizes)
+    density = rng.random() * 0.6
+    edges = {frozenset(e) for e in itertools.combinations([v for part in parts for v in part], 2)
+             if rng.random() < density}
+    return PartitionedGraph(parts, frozenset(edges))
+
+
+def random_horn(rng):
+    """Up to nine variables, Horn clauses of width 0 to 7 (at most one
+    positive literal), now and then one clause or equation that may fall
+    outside Horn, a covered part, and an optional declared class."""
+    n = rng.randint(0, 9)
+
+    def horn_clause():
+        vs = rng.sample(range(1, n + 1), rng.randint(0, min(7, n)))
+        lits = [-v for v in vs]
+        if lits and rng.random() < 0.6:
+            lits[0] = vs[0]
+        return frozenset(lits)
+
+    tractable = [horn_clause() for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.15:
+        odd = random_clause(rng, n) if rng.random() < 0.7 else random_equation(rng, n)
+        tractable.insert(rng.randint(0, len(tractable)), odd)
+    covered = [random_clause(rng, n) for _ in range(rng.randint(0, 2))]
+    return QbfFormula(random_prefix(rng, n), Matrix(tuple(tractable), tuple(covered)),
+                      rng.choice((None, BaseClass.parse("horn"))))
+
+
+FUNCTION_TAGS = ("maj", "mnrty", "min", "max", "and-or", "or-and", "and-ornot", "or-andnot",
+                 "t2", "t3", "t4", "t5", "t6", "t1", "t02",
+                 "", "t", "t0", "t-2", "t\u0663", "MAJ", " maj", "or", "dual(maj)", "t3 ", "t3\n")
+
+
+def strategy(tree):
+    return (tree.winner, tree.leaves(), tree.to_text())
+
+
+def hardness_section(seed):
+    sec = Section("hardness")
+    rng = random.Random(f"hardness:{seed}")
+    for _ in range(RANDOM_DRAWS // 5):
+        g = random_graph(rng)
+        sec.add((tuple(map(len, g.parts)), outcome(mis_to_horn, g, show=formula),
+                 outcome(mis_to_ihsb_minus, g, show=formula), outcome(mis_bruteforce, g)))
+    for _ in range(RANDOM_DRAWS // 5):
+        for f in (random_formula(rng), random_horn(rng)):
+            sec.add((outcome(horn_to_3horn, f, show=formula), outcome(dualize, f, show=formula)))
+    for tag in FUNCTION_TAGS:
+        sec.add((tag, outcome(named_function, tag)))
+    for _ in range(RANDOM_DRAWS // 5):
+        f, other = random_formula(rng), random_formula(rng)
+        n = len(f.prefix)
+        for cap in (None, BRUTE_CAP, n, n - 1, 0):
+            leaf_cap = rng.choice((1 << 16, 1, 2, 4))
+            sec.add((cap, leaf_cap, outcome(eval_bruteforce, f, cap),
+                     outcome(extract_strategy, f, cap, leaf_cap, show=strategy)))
+        try:
+            tree = extract_strategy(f, None)
+        except Exception:  # the errors are in the lines above
+            continue
+        for g in (f, QbfFormula(f.prefix, other.matrix), other):  # the last mostly has another shape
+            sec.add(outcome(verify_strategy, g, tree))
+    return sec
+
+
 def main(argv) -> int:
     if len(argv) != 1 or not argv[0].lstrip("-").isdigit():
         print("usage: python3 tools/digest.py SEED", file=sys.stderr)
@@ -698,7 +782,7 @@ def main(argv) -> int:
                 parse_section(seed), layout_section(seed), spelling_section(seed), prefix_section(seed),
                 engines_section(seed),
                 apply_section(seed), game2cnf_section(seed), values_section(seed, texts),
-                classify_section(seed), class_section(seed)):
+                classify_section(seed), class_section(seed), hardness_section(seed)):
         print(sec.line(), flush=True)
     return 0
 
