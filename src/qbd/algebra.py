@@ -86,7 +86,7 @@ def from_callable(name: str, arity: int, fn) -> BoolFunction:
     return BoolFunction(name, arity, table)
 
 
-_T_RE = re.compile(r"^t([0-9]+)$")
+_T_RE = re.compile(r"t([0-9]+)")
 
 # the ladder's fixed functions: tag -> (arity, definition on bits)
 _FIXED = {
@@ -110,7 +110,7 @@ def named_function(tag: str) -> BoolFunction:
     """
     if tag in _FIXED:
         return from_callable(tag, *_FIXED[tag])
-    m = _T_RE.match(tag)
+    m = _T_RE.fullmatch(tag)
     if m:
         d = int(m.group(1))
         if d < 2:

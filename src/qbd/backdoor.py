@@ -19,7 +19,7 @@ from .formula import AffineEquation, Matrix, QbfFormula, _Record, require_quanti
 
 _KINDS = ("2cnf", "horn", "dualhorn", "aff", "ihsb-", "ihsb+", "posneg", "dual-posneg")
 _BOUNDED = ("horn", "dualhorn", "ihsb-", "ihsb+")
-_TAG_RE = re.compile(rf"^(\d+)?({'|'.join(map(re.escape, _KINDS))})$")
+_TAG_RE = re.compile(rf"^([0-9]+)?({'|'.join(map(re.escape, _KINDS))})$")
 
 # The sign-flipped classes, each tested by the rule of its mirror.
 _MIRROR = {"dualhorn": "horn", "ihsb+": "ihsb-", "dual-posneg": "posneg"}

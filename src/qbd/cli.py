@@ -191,30 +191,19 @@ def _parse_suite(arg: str):
 
 
 def _bench_one(iid: str, seed: int, formula: QbfFormula, brute_cap: int):
+    """Records of auto dispatch and then of brute force, unless auto ran
+    brute force or the formula has more variables than brute_cap."""
     records = []
-
-    def run(algorithm):
+    n = len(formula.prefix)
+    for algorithm in (None, "brute"):
         started = time.perf_counter()
         verdict = dispatch(formula, algorithm=algorithm, brute_cap=brute_cap)
         elapsed = time.perf_counter() - started
-        records.append(
-            BenchRecord(
-                instance=iid,
-                seed=seed,
-                algorithm=verdict.algorithm,
-                value=verdict.value,
-                k=verdict.stats.initial_k,
-                n=len(formula.prefix),
-                branch_nodes=verdict.stats.branch_nodes,
-                leaves=verdict.stats.leaves,
-                wall_time=elapsed,
-            )
-        )
-        return verdict
-
-    verdict = run(None)
-    if verdict.algorithm != "brute" and len(formula.prefix) <= brute_cap:
-        run("brute")
+        stats = verdict.stats
+        records.append(BenchRecord(iid, seed, verdict.algorithm, verdict.value, stats.initial_k, n,
+                                   stats.branch_nodes, stats.leaves, elapsed))
+        if verdict.algorithm == "brute" or n > brute_cap:
+            break
     return records
 
 

@@ -383,11 +383,10 @@ def apply_assignment(formula: QbfFormula, tau: Assignment) -> QbfFormula:
     Assigned variables leave the prefix. Atoms keep their partition and
     relative order.
     """
-    for v, b in tau.items():
+    for v in tau:
         if v not in formula.prefix:
             raise DomainError(f"assigned variable {v} not in prefix")
-        if b not in (0, 1):
-            raise DomainError(f"assignment value for {v} must be 0 or 1")
+        _value(tau, v)
     true = {v if b else -v for v, b in tau.items()}
     false = {-l for l in true}
     tract = []

@@ -37,9 +37,13 @@ from .errors import ParseError, TautologyError, UnknownTag
 from .formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula, clause
 
 
+# An integer token: an optional "-" and ASCII digits. int() alone would
+# also take "+3", "1_0" and Arabic-Indic digits.
+_INT = re.compile(r"-?[0-9]+")
+
+
 def _ints(tokens, lineno):
-    """The tokens as integers, each an optional "-" and ASCII digits: int()
-    alone would also take "+3", "1_0" and Arabic-Indic digits."""
+    """The tokens as integers, each matching _INT."""
     joined = "".join(tokens)
     if joined.isascii() and "+" not in joined and "_" not in joined:
         try:
@@ -47,7 +51,7 @@ def _ints(tokens, lineno):
         except ValueError:
             pass
     for tok in tokens:  # name the first token that is not an integer
-        if not re.fullmatch(r"-?[0-9]+", tok):
+        if not _INT.fullmatch(tok):
             raise ParseError(f"expected an integer, got {tok!r}", line=lineno)
 
 
@@ -116,12 +120,11 @@ class _Reader:
         self.in_backdoor = False
         self.tractable = []
         self.covered = []
-        self.mvars = set()  # the matrix variables
 
     def lines(self, lines, start):
         """Read `lines` one at a time; the first is line number `start`."""
         nvars, nclauses, declared, in_backdoor = self.nvars, self.nclauses, self.declared, self.in_backdoor
-        entries, seen, tractable, covered, mvars = self.entries, self.seen, self.tractable, self.covered, self.mvars
+        entries, seen, tractable, covered = self.entries, self.seen, self.tractable, self.covered
         for lineno, raw in enumerate(lines, start=start):
             line = raw.strip()
             if not line:
@@ -163,22 +166,18 @@ class _Reader:
                     seen.add(v)
                     entries.append((v, head))
                 continue
-            if head == "x":
-                if in_backdoor:
-                    raise ParseError("equation after backdoor-begin; covers hold clauses only", line=lineno)
-                lits = _body(tokens[1:], lineno)
-                for l in lits:
-                    if abs(l) > nvars:
-                        _out_of_range(lits, nvars, lineno)
-                eq = AffineEquation.from_literals(lits, rhs=1)
-                if not eq.is_trivial:
-                    tractable.append(eq)
-                    mvars.update(eq.vars)
-                continue
-            lits = _body(tokens, lineno)
+            equation = head == "x"
+            if equation and in_backdoor:
+                raise ParseError("equation after backdoor-begin; covers hold clauses only", line=lineno)
+            lits = _body(tokens[equation:], lineno)
             vs = {*map(abs, lits)}
             if vs and max(vs) > nvars:
                 _out_of_range(lits, nvars, lineno)
+            if equation:
+                eq = AffineEquation.from_literals(lits, rhs=1)
+                if not eq.is_trivial:
+                    tractable.append(eq)
+                continue
             c = frozenset(lits)
             if len(c) != len(vs):  # some variable occurs with both signs
                 try:
@@ -186,7 +185,6 @@ class _Reader:
                 except TautologyError as exc:
                     raise ParseError(str(exc), line=lineno) from None
             (covered if in_backdoor else tractable).append(c)
-            mvars |= vs
         self.nvars, self.nclauses, self.declared, self.in_backdoor = nvars, nclauses, declared, in_backdoor
 
     def _cut(self, body, signed):
@@ -213,12 +211,10 @@ class _Reader:
         cut = self._cut(run, signed=True)
         if cut is None:
             return False
-        ints, bodies = cut
-        cls = [*map(frozenset, bodies)]
+        cls = [*map(frozenset, cut[1])]
         if not all(map(frozenset.isdisjoint, cls, map(map, repeat(neg), cls))):
             return False
         (self.covered if self.in_backdoor else self.tractable).extend(cls)
-        self.mvars.update(map(abs, ints))
         return True
 
     def equation_run(self, run):
@@ -227,14 +223,13 @@ class _Reader:
         cut = None if self.in_backdoor else self._cut(run[2:].replace("\nx ", "\n"), signed=True)
         if cut is None:
             return False
-        ints, bodies = cut
+        bodies = cut[1]
         sets = [{*map(abs, body)} for body in bodies]  # as from_literals builds them
         if not all(map(int.__eq__, map(len, sets), map(len, bodies))):
             return False
         odd = map((1).__and__, map(str.count, run.split("\n"), repeat("-")))  # negative literals
         # bounded and nonzero, as AffineEquation checks them
         self.tractable += [*map(AffineEquation._kept, map(frozenset, sets), map((1).__xor__, odd))]
-        self.mvars.update(map(abs, ints))
         return True
 
     def prefix_run(self, run):
@@ -262,7 +257,9 @@ class _Reader:
             warnings.warn(f"header declares {self.nclauses} matrix lines, found {got}", stacklevel=3)
         matrix = Matrix(tuple(self.tractable), tuple(self.covered))
         entries = self.entries
-        free = sorted(self.mvars - self.seen)
+        # Both paths bound every variable by nvars and refuse one quantified
+        # twice, so a prefix of nvars entries leaves no matrix variable free.
+        free = [] if len(entries) == self.nvars else sorted(matrix.variables() - self.seen)
         if free:
             warnings.warn(
                 "unquantified variable(s) "
@@ -331,10 +328,9 @@ def parse_relations(text: str) -> dict:
         if len(parts) != 2:
             raise ParseError("expected '<name> <arity> :' before the tuples", line=lineno)
         name, arity_tok = parts
-        try:
-            arity = int(arity_tok)
-        except ValueError:
-            raise ParseError(f"arity must be an integer, got {arity_tok!r}", line=lineno) from None
+        if not _INT.fullmatch(arity_tok):
+            raise ParseError(f"arity must be an integer, got {arity_tok!r}", line=lineno)
+        arity = int(arity_tok)
         if arity <= 0:
             raise ParseError(f"arity must be positive, got {arity}", line=lineno)
         if name in out:

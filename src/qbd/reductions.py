@@ -155,8 +155,7 @@ def horn_to_3horn(formula: QbfFormula) -> QbfFormula:
     for atom in formula.matrix.tractable:
         if not CLASSES["horn"].contains(atom):
             raise ClassError(f"uncovered atom {_show(atom)} is not Horn")
-    used = set(formula.prefix.variables()) | {abs(l) for a in formula.matrix.atoms() for l in a}
-    next_id = max(used, default=0) + 1
+    next_id = max(formula.matrix.variables().union(formula.prefix.variables()), default=0) + 1
     entries = list(formula.prefix.entries)
     out = []
     for c in formula.matrix.tractable:

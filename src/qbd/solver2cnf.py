@@ -235,7 +235,7 @@ class _Search:
         pivot, new = arm
         self.cursor = pivot >> 1  # the outermost unassigned variable, at the arm's node
         val, trail, covered = self.val, self.trail, self.covered
-        for l in [pivot] + [t for t in new if t != pivot]:
+        for l in new or [pivot]:  # _look puts the pivot first, or leaves a derivable one out
             i = l >> 1
             val[i] = 1 - (l & 1)
             trail.append(i)

@@ -31,6 +31,9 @@ class Prop2Cnf(_Record):
     _fields = ("clauses", "contradiction", "units", "binaries")
 
 
+_CONTRADICTION = Prop2Cnf(frozenset({EMPTY}), True, frozenset(), frozenset())
+
+
 def _check_width2(clauses) -> list:
     out = []
     for c in clauses:
@@ -48,7 +51,7 @@ def prop(clauses) -> Prop2Cnf:
         return clauses
     cs = _check_width2(clauses)
     if any(not c for c in cs):
-        return Prop2Cnf(frozenset({EMPTY}), True, frozenset(), frozenset())
+        return _CONTRADICTION
     order = sorted({abs(l) for c in cs for l in c})
     # literal index 2i is variable order[i], 2i+1 its negation
     vi = {v: i for i, v in enumerate(order)}
@@ -78,9 +81,8 @@ def prop(clauses) -> Prop2Cnf:
         lits[2 * i + 1] = -v
     for i in range(0, m, 2):
         if reach[i] & (1 << (i ^ 1)) and reach[i ^ 1] & (1 << i):
-            return Prop2Cnf(frozenset({EMPTY}), True, frozenset(), frozenset())
+            return _CONTRADICTION
     units = frozenset(lits[i] for i in range(m) if reach[i ^ 1] & (1 << i))
-    unit_vars = {abs(l) for l in units}
     binaries = set()
     for i in range(m):
         row = reach[i ^ 1]
@@ -149,11 +151,10 @@ def look_ahead(prefix: Prefix, clauses, pivot: int):
     if pivot not in prefix:
         raise DomainError(f"pivot {pivot} not quantified")
     base = prop(clauses)
+    if base.contradiction:
+        return _DEAD, _DEAD
     out = []
     for b in (0, 1):
-        if base.contradiction:
-            out.append(_DEAD)
-            continue
         lit = pivot if b else -pivot
         full = prop(set(base.clauses) | {frozenset({lit})})
         if full.contradiction:

@@ -95,7 +95,7 @@ class TestNamedFunctions:
         assert named_function("t3") == named_function("maj")
 
     def test_unknown_tags(self):
-        for tag in ("t1", "t0", "t", "nand", ""):
+        for tag in ("t1", "t0", "t", "nand", "", "t3\n"):
             with pytest.raises(UnknownTag):
                 named_function(tag)
 

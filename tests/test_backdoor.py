@@ -71,9 +71,10 @@ class TestBaseClassParse:
 
     def test_tag_round_trip(self):
         for tag in ("2cnf", "aff", "3horn", "5ihsb-", "posneg"):
-            assert bc(tag).tag == tag
+            assert bc(tag).tag == tag == str(bc(tag))
 
-    @pytest.mark.parametrize("bad", ["", "cnf", "1horn", "3aff", "3posneg", "horn-", "x2cnf"])
+    # a width is ASCII digits: Arabic-Indic and fullwidth 3 are refused
+    @pytest.mark.parametrize("bad", ["", "cnf", "1horn", "3aff", "3posneg", "horn-", "x2cnf", "\u0663horn", "\uff13horn"])
     def test_rejects(self, bad):
         with pytest.raises(UnknownTag):
             bc(bad)

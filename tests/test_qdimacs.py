@@ -214,6 +214,22 @@ def test_free_variables_warn_and_join_innermost():
     assert f.prefix.entries[-1] == (2, "e")
 
 
+def test_a_prefix_short_of_the_header_count_leaves_unused_variables_out():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = parse_qdimacs("p cnf 4 1\ne 1 2 0\n1 -2 0\n")
+    assert f.prefix.to_string() == "e1 e2"
+
+
+def test_a_free_variable_on_a_per_line_clause_warns_and_joins_innermost():
+    with pytest.warns(UserWarning) as caught:
+        f = parse_qdimacs("p cnf 3 1\ne 1 0\n1\t3 0\n")  # the tab sends the clause line through the per-line loop
+    assert [str(w.message) for w in caught] == [
+        "unquantified variable(s) 3 appended to the prefix as innermost existentials"]
+    assert f.prefix.entries == ((1, "e"), (3, "e"))
+    assert f.matrix.tractable == (clause(1, 3),)
+
+
 def test_count_mismatch_warns():
     with pytest.warns(UserWarning, match="declares 3"):
         parse_qdimacs("p cnf 1 3\ne 1 0\n1 0\n")
@@ -233,6 +249,7 @@ def test_count_mismatch_warns():
         ("p cnf 1 1\ne 1 0\n1\n", "0", 3),
         ("p cnf 2 1\nc class nonsense\n", "nonsense", 2),
         ("p cnf 2 1\nc class horn aff\n", "one tag", 2),
+        ("p cnf 2 1\nc class \u0663horn\n", "unknown base class tag", 2),
         ("p cnf 2 2\ne 1 2 0\nc backdoor-begin\nx 1 2 0\n", "clauses only", 4),
         ("p cnf 1 1\ne 1 0\n1 x 0\n", "'x'", 3),
         ("p cnf 2 1\ne 1 2 0\n1 0 2 0\n", "stray 0", 3),
@@ -305,3 +322,11 @@ def test_an_empty_tuple_between_commas_is_skipped():
 def test_relation_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_relations(text)
+
+
+@pytest.mark.parametrize("arity", ["\u0662", "+2", "2_0"])
+def test_an_arity_is_an_optional_minus_and_ascii_digits(arity):
+    with pytest.raises(ParseError) as err:
+        parse_relations(f"r 1 : 0\ns {arity} : 00\n")
+    assert str(err.value) == f"line 2: arity must be an integer, got {arity!r}"
+    assert err.value.line == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -168,6 +169,17 @@ class TestHornTo3Horn:
             horn_to_3horn(f)
         assert str(ei.value) == "uncovered atom (1 2) is not Horn"
 
+    def test_an_equation_in_the_covered_part_passes_through(self):
+        f = QbfFormula(
+            Prefix.from_string("e1 a2 e3 e4 e5"),
+            Matrix((clause(1, -2, -3, -4),), (AffineEquation(frozenset({3, 5}), 1),)),
+        )
+        g = horn_to_3horn(f)
+        assert g.prefix.to_string() == "e1 a2 e3 e4 e5 e6"
+        assert set(g.matrix.tractable) == {clause(1, -2, -6), clause(6, -3, -4)}
+        assert g.matrix.backdoor == f.matrix.backdoor
+        assert eval_bruteforce(f) == eval_bruteforce(g)
+
     def test_truth_and_width_preserved(self):
         rng = random.Random(52)
         three = BaseClass("horn", 3)
@@ -227,12 +239,12 @@ class TestGenRandom:
     def test_every_class_generates_valid_instances(self):
         for tag in ("2cnf", "horn", "dualhorn", "aff", "ihsb-", "ihsb+", "posneg", "dual-posneg"):
             bc = BaseClass.parse(tag)
-            for seed in range(25):
-                f = gen_random(GenParams(n=7, k=3, tag=tag), seed)
-                assert len(f.prefix) == 7
+            for (n, k), seed in itertools.product(((7, 3), (1, 1)), range(25)):  # n=1 leaves an impl one variable
+                f = gen_random(GenParams(n=n, k=k, tag=tag), seed)
+                assert len(f.prefix) == n
                 assert validate(f) == []
-                assert all(bc.contains(a) for a in f.matrix.tractable), (tag, seed)
-                assert len(f.matrix.backdoor_variables()) <= 3
+                assert all(bc.contains(a) for a in f.matrix.tractable), (tag, n, seed)
+                assert len(f.matrix.backdoor_variables()) <= k
 
     def test_prefix_pattern_cycles(self):
         f = gen_random(GenParams(n=5, k=0, prefix_pattern="ea"), 1)

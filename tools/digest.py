@@ -32,6 +32,10 @@ input below. The sections:
                 ends changed: a leading zero (01, -01), -0 for a literal, two
                 spaces between tokens, two spaces before the terminator,
                 CRLF on some lines only, and \r\r\n line ends
+  free          parse_qdimacs on every pool text with variables the prefix
+                does not quantify: the header count raised by 1 to 3 (unused
+                variables), 1 to 3 variables dropped from the quantifier
+                lines (free ones, which the reader appends), or both
   prefix        Prefix (entries and positions, or the error) on random
                 entry lists with bools, 0, negatives, duplicates, bad
                 quantifiers, unhashable items and malformed entries, and
@@ -477,6 +481,38 @@ def spelling_section(seed):
     return sec
 
 
+FREE_KINDS = ("unused", "dropped", "both")
+
+
+def unquantify(rng, text, kind):
+    """`text` with its header count raised by 1 to 3 (unused), with 1 to 3
+    variables dropped from its quantifier lines (dropped), or both."""
+    lines = text.splitlines()
+    if kind in ("unused", "both"):
+        i = next(i for i, line in enumerate(lines) if line.startswith("p "))
+        _, _, nvars, nclauses = lines[i].split()
+        lines[i] = f"p cnf {int(nvars) + rng.randint(1, 3)} {nclauses}"
+    if kind in ("dropped", "both"):
+        quantified = [(i, v) for i, line in enumerate(lines) if line[:2] in ("e ", "a ")
+                      for v in line.split()[1:-1]]
+        for i, v in rng.sample(quantified, min(len(quantified), rng.randint(1, 3))):
+            toks = lines[i].split()
+            toks.remove(v)
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def free_section(seed):
+    sec = Section("free")
+    rng = random.Random(f"free:{seed}")
+    for family, count in gen.POOL.items():
+        for i in range(count):
+            text = gen.instance(family, seed, i).text
+            for kind in FREE_KINDS:
+                sec.add((family, i, kind, outcome(parse_qdimacs, unquantify(rng, text, kind), show=formula)))
+    return sec
+
+
 class Small(int):
     """An int subclass, which Prefix takes as a variable."""
 
@@ -779,7 +815,8 @@ def main(argv) -> int:
     texts = list(pools(seed))
     for sec in (dispatch_section(seed, texts), rank_section(seed, texts),
                 affsystem_section(seed, texts), pivot_elim_section(seed),
-                parse_section(seed), layout_section(seed), spelling_section(seed), prefix_section(seed),
+                parse_section(seed), layout_section(seed), spelling_section(seed), free_section(seed),
+                prefix_section(seed),
                 engines_section(seed),
                 apply_section(seed), game2cnf_section(seed), values_section(seed, texts),
                 classify_section(seed), class_section(seed), hardness_section(seed)):
