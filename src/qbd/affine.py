@@ -80,9 +80,6 @@ class AffSystem(_Record):
                 raise ClassError(f"clause of width {len(atom)} is not affine")
         return cls(formula.prefix, tuple(rows))
 
-    def variables(self) -> frozenset:
-        return frozenset().union(*(eq.vars for eq in self.rows))
-
 
 def _unpack(prefix: Prefix, rows):
     for m, r in rows:

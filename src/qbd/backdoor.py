@@ -206,14 +206,10 @@ def _backdoor(formula: QbfFormula, bc: BaseClass, out, vs) -> CcBackdoor:
 
 
 class SolveStats(_Record):
-    """An engine's counters for one solve: the one mutable, unhashable
-    record."""
+    """An engine's counters for one solve, built once, when it ends."""
 
     _fields = ("branch_nodes", "leaves", "max_depth", "initial_k")
     _defaults = (0, 0, 0, 0)
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
 
 def search(game, k: int):
@@ -221,23 +217,23 @@ def search(game, k: int):
     SolveStats) for a cover of k variables. `game.node()` is a leaf's value
     or (existential, arm, other arm or None); `game.play(arm)` moves, and
     writing back a `game.state` read earlier takes back every move since.
-    A branch plays its other arm only when the first went against its owner."""
-    stats = SolveStats(0, 0, 0, k)
+    A branch plays its other arm only when the first went against its owner.
+    The counters are locals until the search returns."""
     frames = []  # per branch with its other arm unplayed: (existential, state, depth, other arm)
-    depth = 0
+    depth = branch_nodes = leaves = max_depth = 0
     while True:
         move = game.node()
         if move.__class__ is tuple:
             exist, arm, other = move
             if other is not None:
-                stats.branch_nodes += 1
+                branch_nodes += 1
                 frames.append((exist, game.state, depth, other))
         else:
-            stats.leaves += 1
-            stats.max_depth = max(stats.max_depth, depth)  # the deepest node is a leaf
+            leaves += 1
+            max_depth = max(max_depth, depth)  # the deepest node is a leaf
             while True:  # back to the innermost branch whose other arm is due
                 if not frames:
-                    return move, stats
+                    return move, SolveStats(branch_nodes, leaves, max_depth, k)
                 exist, game.state, depth, arm = frames.pop()
                 if exist != move:
                     break

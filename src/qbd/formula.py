@@ -1,15 +1,15 @@
 """Core data model: prenex prefixes, CNF/XOR matrices, assignments.
 
-Literals follow the DIMACS convention: a literal is a nonzero int, negation is
-arithmetic negation, the variable is abs(literal). A clause is a frozenset of
-literals; the empty frozenset is the unsatisfiable clause. Affine atoms are
-GF(2) equations over variable sets.
+Literals follow the DIMACS convention: a literal is a nonzero int (never a
+bool), negation is arithmetic negation, the variable is abs(literal). A
+clause is a frozenset of literals; the empty frozenset is the unsatisfiable
+clause. Affine atoms are GF(2) equations over variable sets.
 
-The package's records, here and in the other modules, are plain classes on
-_Record, so importing qbd loads neither the standard library's dataclass
-module nor `inspect`. A record declares its fields once, in `_fields`, and
-the values of its trailing fields when a call leaves them out in
-`_defaults`; it writes an __init__ only to check its arguments, and that
+The package's records, here and in the other modules, are plain frozen
+classes on _Record, so importing qbd loads neither the standard library's
+dataclass module nor `inspect`. A record declares its fields once, in
+`_fields`, and the values of its trailing fields when a call leaves them out
+in `_defaults`; it writes an __init__ only to check its arguments, and that
 __init__ passes them on to _Record's. _lazy_names builds the module
 __getattr__ of the modules that load a name's module on its first read.
 """
@@ -31,22 +31,16 @@ EXISTS = "e"
 FORALL = "a"
 
 
-def neg(lit: Lit) -> Lit:
-    return -lit
-
-
-def var_of(lit: Lit) -> Var:
-    return abs(lit)
-
-
 def clause(*lits: Lit) -> Clause:
-    """Build a clause from literals, rejecting var 0 and tautologies.
+    """Build a clause from literals, rejecting var 0, bools and tautologies.
 
     Duplicate literals collapse (set semantics).
     """
     out = frozenset(lits)
-    if 0 in out:
+    if 0 in out:  # False too
         raise DomainError("literal 0 is not a variable")
+    if bool in map(type, lits):
+        raise DomainError("literal True is not a variable")
     for l in out:
         if -l in out:
             raise TautologyError(f"clause contains both {l} and {-l}")
@@ -64,9 +58,9 @@ class _Record:
     defaults, and a call Python would refuse for a def with that signature
     is a TypeError. A record writes its own __init__ only to check its
     arguments, and passes them on to this one, which sets each field with
-    object.__setattr__; after that the record is immutable (SolveStats
-    alone opts out). Records of one class are equal when the fields `_key`
-    reads are: `_compared`, or all of `_fields`, which repr shows as
+    object.__setattr__; after that every record is immutable, and hashable
+    when its fields are. Records of one class are equal when the fields
+    `_key` reads are: `_compared`, or all of `_fields`, which repr shows as
     Name(field=value, ...)."""
 
     _fields = ()
@@ -148,7 +142,7 @@ class AffineEquation(_Record):
         if rhs not in (0, 1):
             raise DomainError(f"rhs must be 0 or 1, got {rhs}")
         for v in vars:
-            if not isinstance(v, int) or v <= 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
                 raise DomainError(f"equation variable must be a positive int, got {v}")
         super().__init__(vars, rhs)
 
@@ -184,10 +178,6 @@ class AffineEquation(_Record):
         return out
 
     @property
-    def is_contradiction(self) -> bool:
-        return not self.vars and self.rhs == 1
-
-    @property
     def is_trivial(self) -> bool:
         return not self.vars and self.rhs == 0
 
@@ -216,7 +206,7 @@ class Prefix(_Record):
         for i, (v, q) in enumerate(entries):
             if q not in (EXISTS, FORALL):
                 raise DomainError(f"bad quantifier {q!r} for variable {v}")
-            if not isinstance(v, int) or v <= 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
                 raise DomainError(f"prefix variable must be a positive int, got {v!r}")
             if v in pos:
                 raise DomainError(f"variable {v} quantified twice")
@@ -282,12 +272,6 @@ class Prefix(_Record):
         """The member of `vars` quantified last (maximal position)."""
         return max(vars, key=self.position)
 
-    def outermost_of(self, vars: Iterable[Var]) -> Var:
-        return min(vars, key=self.position)
-
-    def append(self, v: Var, q: str) -> "Prefix":
-        return Prefix(self.entries + ((v, q),))
-
     def to_string(self) -> str:
         return " ".join(f"{q}{v}" for v, q in self.entries)
 
@@ -327,14 +311,6 @@ class QbfFormula(_Record):
     _fields = ("prefix", "matrix", "base_class")
     _defaults = (None,)
 
-    @property
-    def n_variables(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def backdoor_size(self) -> int:
-        return len(self.matrix.backdoor_variables())
-
 
 def require_quantified(formula: QbfFormula) -> None:
     """Raise DomainError when a matrix variable is missing from the prefix."""
@@ -345,12 +321,6 @@ def require_quantified(formula: QbfFormula) -> None:
                for v in atom_vars(a) if v not in pos}
     if unbound:
         raise DomainError(f"matrix variables {sorted(unbound)} not quantified")
-
-
-class Violation(_Record):
-    """One structural problem found by validate()."""
-
-    _fields = ("code", "detail")
 
 
 def _apply_equation(eq: AffineEquation, tau: Assignment):
@@ -429,44 +399,3 @@ def eval_atom(atom: Atom, tau: Assignment) -> bool:
 def eval_matrix(matrix: Matrix, tau: Assignment) -> bool:
     """Truth of the whole matrix under a total assignment."""
     return all(eval_atom(a, tau) for a in matrix.atoms())
-
-
-def validate(formula: QbfFormula) -> list:
-    """Check structural invariants; returns a list of Violations (empty = ok)."""
-    out: list = []
-    pv = set(formula.prefix.variables())
-    mv = formula.matrix.variables()
-    for v in sorted(mv - pv):
-        out.append(Violation("unquantified", f"variable {v} occurs in the matrix but not the prefix"))
-    for where, atoms in (("tractable", formula.matrix.tractable), ("backdoor", formula.matrix.backdoor)):
-        for i, a in enumerate(atoms):
-            if isinstance(a, AffineEquation):
-                continue
-            for l in a:
-                if not isinstance(l, int) or l == 0:
-                    out.append(Violation("bad-literal", f"{where}[{i}] holds literal {l!r}"))
-                elif -l in a:
-                    out.append(Violation("tautology", f"{where}[{i}] contains both {l} and {-l}"))
-                    break
-    for i, a in enumerate(formula.matrix.backdoor):
-        if isinstance(a, AffineEquation):
-            out.append(Violation("backdoor-equation", f"backdoor[{i}] is an equation; only clauses are covered"))
-    return out
-
-
-def _atom_key(atom: Atom):
-    if isinstance(atom, AffineEquation):
-        return (1, tuple(sorted(atom.vars)), atom.rhs)
-    return (0, tuple(sorted(atom, key=lambda l: (abs(l), l < 0))))
-
-
-def canonical(formula: QbfFormula) -> QbfFormula:
-    """Same formula with both atom sequences sorted canonically."""
-    return QbfFormula(
-        prefix=formula.prefix,
-        matrix=Matrix(
-            tuple(sorted(formula.matrix.tractable, key=_atom_key)),
-            tuple(sorted(formula.matrix.backdoor, key=_atom_key)),
-        ),
-        base_class=formula.base_class,
-    )

@@ -44,15 +44,13 @@ _INT = re.compile(r"-?[0-9]+")
 
 def _ints(tokens, lineno):
     """The tokens as integers, each matching _INT."""
-    joined = "".join(tokens)
-    if joined.isascii() and "+" not in joined and "_" not in joined:
-        try:
-            return [*map(int, tokens)]
-        except ValueError:
-            pass
     for tok in tokens:  # name the first token that is not an integer
         if not _INT.fullmatch(tok):
             raise ParseError(f"expected an integer, got {tok!r}", line=lineno)
+    try:
+        return [*map(int, tokens)]
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"integer of {max(map(len, tokens))} characters is too long", line=lineno) from None
 
 
 def _body(tokens, lineno):

@@ -264,12 +264,10 @@ def _gen_atom(rng: random.Random, bc: BaseClass, n: int) -> object:
         if len(vs) < 2:
             return frozenset((-sign * vs[0],))
         return frozenset((-vs[0], vs[1]))
-    if kind in ("posneg", "dual-posneg"):
-        sign = 1 if kind == "posneg" else -1
-        if rng.random() < 0.25:
-            return frozenset((-sign * rng.randint(1, n),))
-        return frozenset(sign * v for v in sample(rng.randint(1, 4)))
-    raise ParamError(f"no generator for class {bc.tag}")
+    sign = 1 if kind == "posneg" else -1  # posneg or dual-posneg
+    if rng.random() < 0.25:
+        return frozenset((-sign * rng.randint(1, n),))
+    return frozenset(sign * v for v in sample(rng.randint(1, 4)))
 
 
 def gen_random(params: GenParams, seed: int) -> QbfFormula:

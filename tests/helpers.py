@@ -2,14 +2,16 @@
 
 naive_eval is the reference point for everything else in the suite: a
 textbook recursion over the prefix with no closures, no bit tricks and no
-sharing. Keep it slow and obvious.
+sharing. Keep it slow and obvious. validate and canonical check and order
+the formulas that generators and the QDIMACS round trip build; no solve
+needs them, so they live here rather than in qbd.
 """
 
 import random
 
 from qbd.backdoor import detect_cc_backdoor
 from qbd.errors import ClassError
-from qbd.formula import AffineEquation, EXISTS, FORALL, Matrix, Prefix, QbfFormula, clause
+from qbd.formula import AffineEquation, Atom, EXISTS, FORALL, Matrix, Prefix, QbfFormula, _Record, clause
 from qbd.reductions import PartitionedGraph
 
 
@@ -119,7 +121,7 @@ def random_clause(rng: random.Random, n: int, max_width: int = 3):
 
 def random_mixed(rng: random.Random, max_n: int = 6, equations: bool = True) -> QbfFormula:
     """A small arbitrary instance; equations stay on the tractable side so
-    the result always passes validate()."""
+    the result always passes validate() below."""
     n = rng.randint(1, max_n)
     tract = []
     back = []
@@ -132,6 +134,53 @@ def random_mixed(rng: random.Random, max_n: int = 6, equations: bool = True) -> 
         else:
             (back if rng.random() < 0.3 else tract).append(random_clause(rng, n))
     return QbfFormula(random_prefix(rng, n), Matrix(tuple(tract), tuple(back)))
+
+
+class Violation(_Record):
+    """One structural problem found by validate()."""
+
+    _fields = ("code", "detail")
+
+
+def validate(formula: QbfFormula) -> list:
+    """Check structural invariants; returns a list of Violations (empty = ok)."""
+    out: list = []
+    pv = set(formula.prefix.variables())
+    mv = formula.matrix.variables()
+    for v in sorted(mv - pv):
+        out.append(Violation("unquantified", f"variable {v} occurs in the matrix but not the prefix"))
+    for where, atoms in (("tractable", formula.matrix.tractable), ("backdoor", formula.matrix.backdoor)):
+        for i, a in enumerate(atoms):
+            if isinstance(a, AffineEquation):
+                continue
+            for l in a:
+                if not isinstance(l, int) or l == 0:
+                    out.append(Violation("bad-literal", f"{where}[{i}] holds literal {l!r}"))
+                elif -l in a:
+                    out.append(Violation("tautology", f"{where}[{i}] contains both {l} and {-l}"))
+                    break
+    for i, a in enumerate(formula.matrix.backdoor):
+        if isinstance(a, AffineEquation):
+            out.append(Violation("backdoor-equation", f"backdoor[{i}] is an equation; only clauses are covered"))
+    return out
+
+
+def _atom_key(atom: Atom):
+    if isinstance(atom, AffineEquation):
+        return (1, tuple(sorted(atom.vars)), atom.rhs)
+    return (0, tuple(sorted(atom, key=lambda l: (abs(l), l < 0))))
+
+
+def canonical(formula: QbfFormula) -> QbfFormula:
+    """Same formula with both atom sequences sorted canonically."""
+    return QbfFormula(
+        prefix=formula.prefix,
+        matrix=Matrix(
+            tuple(sorted(formula.matrix.tractable, key=_atom_key)),
+            tuple(sorted(formula.matrix.backdoor, key=_atom_key)),
+        ),
+        base_class=formula.base_class,
+    )
 
 
 def random_graph(rng: random.Random, max_vertices: int = 8, k: int = 2) -> PartitionedGraph:

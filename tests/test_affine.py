@@ -80,9 +80,6 @@ class TestAffSystem:
         with pytest.raises(ClassError, match="width 2"):
             AffSystem.from_formula(f)
 
-    def test_variables(self):
-        assert system("e1 e2 e3", eq(0, 1, 3)).variables() == frozenset({1, 3})
-
 
 class TestPivot:
     def test_clears_the_variable_from_other_rows(self):

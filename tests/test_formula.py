@@ -11,22 +11,13 @@ from qbd.formula import (
     QbfFormula,
     apply_assignment,
     atom_vars,
-    canonical,
     clause,
     clause_vars,
     eval_atom,
     eval_matrix,
-    neg,
-    validate,
-    var_of,
 )
-from helpers import reference_apply, running_example
+from helpers import canonical, reference_apply, running_example, validate
 from strategies import PROPERTY, formulas
-
-
-def test_literal_helpers():
-    assert neg(3) == -3 and neg(-3) == 3
-    assert var_of(-7) == 7 and var_of(7) == 7
 
 
 def test_clause_builds_a_literal_set():
@@ -42,6 +33,16 @@ def test_clause_rejects_zero_and_tautologies():
         clause(1, -1, 2)
 
 
+def test_clause_rejects_bools():
+    # bool is an int, so True would pass as literal 1 and print as "True"
+    with pytest.raises(DomainError, match="^literal True is not a variable$"):
+        clause(True, -2)
+    with pytest.raises(DomainError, match="^literal True is not a variable$"):
+        clause(1, True)
+    with pytest.raises(DomainError, match="^literal 0 is not a variable$"):
+        clause(False, 2)
+
+
 class TestAffineEquation:
     def test_from_literals_flips_parity_per_negation(self):
         eq = AffineEquation.from_literals([1, -2], rhs=1)
@@ -52,7 +53,7 @@ class TestAffineEquation:
         assert AffineEquation.from_literals([1, 1, 2], rhs=1) == AffineEquation(frozenset({2}), 1)
 
     def test_x_xor_notx_is_never_zero(self):
-        assert AffineEquation.from_literals([1, -1], rhs=0).is_contradiction
+        assert AffineEquation.from_literals([1, -1], rhs=0) == AffineEquation(frozenset(), 1)
 
     def test_trivial(self):
         assert AffineEquation.from_literals([2, 2], rhs=0).is_trivial
@@ -65,6 +66,8 @@ class TestAffineEquation:
             AffineEquation(frozenset({1}), 2)
         with pytest.raises(DomainError, match="^literal 0 is not a variable$"):
             AffineEquation.from_literals([1, 0])
+        with pytest.raises(DomainError, match="^equation variable must be a positive int, got True$"):
+            AffineEquation(frozenset({True, 2}), 1)
 
     def test_atom_vars_covers_both_shapes(self):
         assert atom_vars(AffineEquation(frozenset({1, 4}), 0)) == frozenset({1, 4})
@@ -101,10 +104,13 @@ class TestPrefix:
         with pytest.raises(DomainError, match="^prefix variable must be a positive int, got 0$"):
             Prefix(((0, EXISTS),))
 
-    def test_inner_and_outer(self):
+    def test_bool_variable_rejected(self):
+        with pytest.raises(DomainError, match="^prefix variable must be a positive int, got True$"):
+            Prefix(((True, EXISTS), (2, FORALL)))
+
+    def test_innermost_of(self):
         p = Prefix.from_string("e4 a2 e7")
         assert p.innermost_of({4, 2}) == 2
-        assert p.outermost_of({2, 7}) == 2
         assert p.innermost_of({4, 2, 7}) == 7
 
     def test_without_and_restrict_keep_order(self):
@@ -112,19 +118,11 @@ class TestPrefix:
         assert p.without((2,)).to_string() == "e1 e3 a4"
         assert p.restrict((4, 1)).to_string() == "e1 a4"
 
-    def test_append(self):
-        p = Prefix.from_string("e1").append(2, FORALL)
-        assert p.to_string() == "e1 a2"
-        with pytest.raises(DomainError):
-            p.append(1, EXISTS)
-
 
 def test_matrix_variable_views():
     f = running_example()
     assert f.matrix.variables() == frozenset({1, 2, 3, 4, 5})
     assert f.matrix.backdoor_variables() == frozenset({3, 4, 5})
-    assert f.n_variables == 5
-    assert f.backdoor_size == 3
 
 
 class TestApplyAssignment:

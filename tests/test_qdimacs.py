@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 from qbd.algebra import Relation
 from qbd.backdoor import BaseClass, detect_cc_backdoor
 from qbd.errors import ParseError
-from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, canonical, clause
+from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, clause
 from qbd.qdimacs import _Reader, parse_qdimacs, parse_relations, write_qdimacs, write_relations
-from helpers import RUNNING_EXAMPLE_TEXT, running_example
+from helpers import RUNNING_EXAMPLE_TEXT, canonical, running_example
 from strategies import PROPERTY, formulas
 
 
@@ -266,6 +266,9 @@ def test_count_mismatch_warns():
         ("p cnf -1 0\n", "header counts must be nonnegative", 1),
         ("p cnf 2 1\ne 1 2 0\nx 1 3 0\n", "variable 3 exceeds the declared count 2", 3),
         ("p cnf 3 1_0\n", "expected an integer, got '1_0'", 1),
+        # past int()'s default limit of 4,300 digits
+        ("p cnf " + "1" * 5000 + " 1\n", "integer of 5000 characters is too long", 1),
+        ("p cnf 2 1\ne 1 2 0\n1 -" + "2" * 5000 + " 0\n", "integer of 5001 characters is too long", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):

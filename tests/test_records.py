@@ -1,8 +1,7 @@
 """The contract of the package's records: construction by position, by
 keyword and from defaults, with a TypeError where Python's own binding
 raises one; repr text, equality and hash on the compared fields only,
-immutability (SolveStats alone is mutable and unhashable), and copy and
-pickle round trips."""
+immutability, and copy and pickle round trips."""
 
 import copy
 import pickle
@@ -16,12 +15,13 @@ from qbd.affine import AffSystem, KernelResult
 from qbd.algebra import BoolFunction, ClassifierVerdict, Relation
 from qbd.backdoor import BaseClass, CcBackdoor, SolveStats
 from qbd.cli import BenchRecord
-from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, Violation, _Record
+from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, _Record
 from qbd.oracle import StrategyNode, StrategyTree
 from qbd.reductions import GenParams, PartitionedGraph
 from qbd.solver2cnf import StepDecision
 from qbd.special import Verdict
 from qbd.twocnf import LookAhead, Prop2Cnf
+from helpers import Violation
 
 P = Prefix(((1, "e"), (2, "a")))
 EQ = AffineEquation(frozenset({1, 2}), 1)
@@ -42,8 +42,6 @@ RECORDS = {
                Matrix(tractable=(frozenset({1}),), backdoor=(frozenset({-2}),)), Matrix((frozenset({1}),))),
     "QbfFormula": (F, F_TEXT, QbfFormula(prefix=P, matrix=M, base_class=BaseClass.parse("2cnf")),
                    QbfFormula(P, M)),
-    "Violation": (Violation("tautology", "x"), "Violation(code='tautology', detail='x')",
-                  Violation(code="tautology", detail="x"), Violation("tautology", "y")),
     "BaseClass": (BaseClass("horn", 3), "BaseClass(kind='horn', width=3)", BaseClass.parse("3horn"),
                   BaseClass("horn")),
     "CcBackdoor": (CcBackdoor(BaseClass("aff"), frozenset({2}), F),
@@ -102,8 +100,8 @@ RECORDS = {
 }
 
 # the records whose fields all hold hashable values
-HASHABLE = sorted(set(RECORDS) - {"SolveStats", "Verdict", "StepDecision", "LookAhead"})
-FROZEN = sorted(set(RECORDS) - {"SolveStats"})
+HASHABLE = sorted(set(RECORDS) - {"StepDecision", "LookAhead"})
+FROZEN = sorted(RECORDS)
 
 
 def first_field(record) -> str:
@@ -167,15 +165,6 @@ def test_fields_cannot_be_set_or_deleted(name):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert repr(record) == before
-
-
-def test_solve_stats_is_mutable_and_unhashable():
-    stats = SolveStats()
-    stats.leaves += 2
-    stats.max_depth = 5
-    assert stats == SolveStats(leaves=2, max_depth=5)
-    with pytest.raises(TypeError):
-        hash(stats)
 
 
 @pytest.mark.parametrize("record", [F, P, EQ], ids=["QbfFormula", "Prefix", "AffineEquation"])

@@ -15,7 +15,6 @@ from qbd.formula import (
     Prefix,
     QbfFormula,
     clause,
-    validate,
 )
 from qbd.oracle import eval_bruteforce
 from qbd.reductions import (
@@ -30,7 +29,7 @@ from qbd.reductions import (
     mis_to_ihsb_minus,
     parse_graph,
 )
-from helpers import naive_eval, random_graph, random_mixed
+from helpers import naive_eval, random_graph, random_mixed, validate
 from strategies import PROPERTY, formulas
 
 

@@ -42,22 +42,22 @@ def reference_solve(formula):
     """The search as a walk over step() decisions and apply_assignment
     residuals, with the closures of twocnf at every node; iterative, so
     that it takes deep prefixes too. Returns (value, SolveStats)."""
-    stats = SolveStats(initial_k=len(formula.matrix.backdoor_variables()))
     frames = []  # per open branch: (existential, second arm residual or None, its depth)
-    f, depth = formula, 0
+    f = formula
+    depth = branch_nodes = leaves = max_depth = 0
     while True:
-        stats.max_depth = max(stats.max_depth, depth)
+        max_depth = max(max_depth, depth)
         d = step(f)
         if d.kind == FOLLOW:
             f, depth = apply_assignment(f, d.U), depth + 1
             continue
         if d.kind == BRANCH:
-            stats.branch_nodes += 1
+            branch_nodes += 1
             exist = f.prefix.is_existential(d.pivot)
             frames.append((exist, apply_assignment(f, d.arms[1]), depth + 1))
             f, depth = apply_assignment(f, d.arms[0]), depth + 1
             continue
-        stats.leaves += 1
+        leaves += 1
         value = d.kind == ACCEPT
         while frames:
             exist, second, arm_depth = frames.pop()
@@ -66,7 +66,8 @@ def reference_solve(formula):
                 f, depth = second, arm_depth
                 break
         else:
-            return value, stats
+            k = len(formula.matrix.backdoor_variables())
+            return value, SolveStats(branch_nodes, leaves, max_depth, k)
 
 
 def structurally_false(f):
