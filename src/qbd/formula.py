@@ -156,8 +156,8 @@ class AffineEquation(_Record):
         parity = rhs
         seen: set = set()
         for l in lits:
-            if l == 0:
-                raise DomainError("literal 0 is not a variable")
+            if l == 0 or l is True:  # False == 0; abs(True) would pass as variable 1
+                raise DomainError(f"literal {l or 0} is not a variable")
             if l < 0:
                 parity ^= 1
             v = abs(l)

@@ -69,6 +69,15 @@ class TestAffineEquation:
         with pytest.raises(DomainError, match="^equation variable must be a positive int, got True$"):
             AffineEquation(frozenset({True, 2}), 1)
 
+    def test_from_literals_rejects_bools(self):
+        # abs(True) is 1, so True would pass as variable 1
+        with pytest.raises(DomainError, match="^literal True is not a variable$"):
+            AffineEquation.from_literals([True, 2])
+        with pytest.raises(DomainError, match="^literal True is not a variable$"):
+            AffineEquation.from_literals([1, True])
+        with pytest.raises(DomainError, match="^literal 0 is not a variable$"):
+            AffineEquation.from_literals([False, 2])
+
     def test_atom_vars_covers_both_shapes(self):
         assert atom_vars(AffineEquation(frozenset({1, 4}), 0)) == frozenset({1, 4})
         assert atom_vars(clause(-5, 2)) == frozenset({2, 5})

@@ -269,6 +269,8 @@ def test_count_mismatch_warns():
         # past int()'s default limit of 4,300 digits
         ("p cnf " + "1" * 5000 + " 1\n", "integer of 5000 characters is too long", 1),
         ("p cnf 2 1\ne 1 2 0\n1 -" + "2" * 5000 + " 0\n", "integer of 5001 characters is too long", 3),
+        ("p cnf 2 1\ne 1 " + "2" * 5000 + " 0\n1 0\n", "integer of 5000 characters is too long", 2),
+        ("p cnf 2 1\ne 1 2 0\nx 1 " + "2" * 5000 + " 0\n", "integer of 5000 characters is too long", 3),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):
