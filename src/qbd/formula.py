@@ -1,9 +1,10 @@
 """Core data model: prenex prefixes, CNF/XOR matrices, assignments.
 
-Literals follow the DIMACS convention: a literal is a nonzero int (never a
-bool), negation is arithmetic negation, the variable is abs(literal). A
-clause is a frozenset of literals; the empty frozenset is the unsatisfiable
-clause. Affine atoms are GF(2) equations over variable sets.
+Literals follow the DIMACS convention: a literal is a nonzero int (a clause
+takes only type int, never a bool), negation is arithmetic negation, the
+variable is abs(literal). A clause is a frozenset of literals; the empty
+frozenset is the unsatisfiable clause. Affine atoms are GF(2) equations
+over variable sets.
 
 The package's records, here and in the other modules, are plain frozen
 classes on _Record, so importing qbd loads neither the standard library's
@@ -32,15 +33,18 @@ FORALL = "a"
 
 
 def clause(*lits: Lit) -> Clause:
-    """Build a clause from literals, rejecting var 0, bools and tautologies.
+    """Build a clause from literals, rejecting var 0, tautologies and
+    literals whose type is not int, such as True or 1.0, which would not
+    print as an integer.
 
     Duplicate literals collapse (set semantics).
     """
     out = frozenset(lits)
-    if 0 in out:  # False too
+    if 0 in out:  # False and 0.0 too
         raise DomainError("literal 0 is not a variable")
-    if bool in map(type, lits):
-        raise DomainError("literal True is not a variable")
+    if not {int}.issuperset(map(type, lits)):
+        bad = next(l for l in lits if type(l) is not int)
+        raise DomainError(f"literal {bad!r} is not a variable")
     for l in out:
         if -l in out:
             raise TautologyError(f"clause contains both {l} and {-l}")

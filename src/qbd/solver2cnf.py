@@ -312,16 +312,28 @@ class _Search:
     def node(self):
         """The node for backdoor.search at the outermost unassigned variable:
         a leaf's value, or (existential, arm, the other arm at a branch or
-        None), where an arm is (pivot literal, the units it newly derives)."""
+        None), where an arm is (pivot literal, the units it newly derives).
+        Value 1 is looked at first. Two outcomes of that look settle the
+        node whatever value 0 gives, so value 0 is looked at only when
+        neither holds: an existential takes a live value-1 arm that touches
+        no covered literal (the rule tries value 1 first for a free move,
+        and it is the only live arm otherwise), and a universal whose value
+        1 is dead makes the node false."""
         cover = self._cover()
         if not cover:  # every covered clause is satisfied, or one is false
             return cover is not None
         while self.val[self.cursor] >= 0:
             self.cursor += 1
         cursor = self.cursor
-        arms = [(pivot, self._look(pivot)) for pivot in (2 * cursor + 1, 2 * cursor)]  # the values 0 and 1
-        live = [a for a in arms if a[1] is not None]
         exist = not self.univ[cursor]
+        one = (2 * cursor, self._look(2 * cursor))
+        if one[1] is None:
+            if not exist:
+                return False
+        elif exist and cover.isdisjoint(one[1]):
+            return exist, one, None
+        arms = [(2 * cursor + 1, self._look(2 * cursor + 1)), one]  # the values 0 and 1
+        live = [a for a in arms if a[1] is not None]
         if len(live) < 2:
             return (exist, live[0], None) if live and exist else False
         free = [b for b in (1, 0) if cover.isdisjoint(arms[b][1])]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +43,19 @@ def test_clause_rejects_bools():
         clause(1, True)
     with pytest.raises(DomainError, match="^literal 0 is not a variable$"):
         clause(False, 2)
+
+
+@pytest.mark.parametrize("lits, shown", [
+    ((1.0, -2), "1.0"),
+    ((1, -2.0), "-2.0"),
+    ((1.5,), "1.5"),
+    (("1", 2), "'1'"),
+    ((None,), "None"),
+])
+def test_clause_rejects_literals_that_are_not_ints(lits, shown):
+    # 1.0 == 1 passes every value check, but would print as "1.0"
+    with pytest.raises(DomainError, match=f"^literal {re.escape(shown)} is not a variable$"):
+        clause(*lits)
 
 
 class TestAffineEquation:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from qbd.algebra import Relation
 from qbd.backdoor import BaseClass, detect_cc_backdoor
-from qbd.errors import ParseError
+from qbd.errors import DomainError, ParseError
 from qbd.formula import AffineEquation, Matrix, Prefix, QbfFormula, clause
 from qbd.qdimacs import _Reader, parse_qdimacs, parse_relations, write_qdimacs, write_relations
 from helpers import RUNNING_EXAMPLE_TEXT, canonical, running_example
@@ -29,6 +29,15 @@ def test_round_trip_preserves_everything():
     f = detect_cc_backdoor(running_example(), "2cnf").formula
     again = parse_qdimacs(write_qdimacs(f))
     assert canonical(again) == canonical(f)
+
+
+def test_a_clause_writes_only_literals_that_parse_back():
+    # the prefix takes 1.0 as variable 1, so clause is what refuses it
+    # before the writer prints "1.0", which the reader refuses
+    with pytest.raises(DomainError):
+        QbfFormula(Prefix.from_string("e1 a2"), Matrix((clause(1.0, -2),), ()))
+    f = QbfFormula(Prefix.from_string("e1 a2"), Matrix((clause(1, -2),), (clause(-1, 2),)))
+    assert canonical(parse_qdimacs(write_qdimacs(f))) == canonical(f)
 
 
 @PROPERTY

@@ -367,3 +367,78 @@ class TestCoverCache:
         value, stats = solve(f)
         assert stats.branch_nodes > 0
         assert 2 * counts["scans"] < counts["nodes"], counts
+
+
+def eager_node(search):
+    """The node rule with both values looked at before it decides: what
+    `_Search.node` must return on the same state. Leaves the search as it
+    found it, up to the cover's cache."""
+    cover = search._cover()
+    if not cover:
+        return cover is not None
+    cursor = search.cursor
+    while search.val[cursor] >= 0:
+        cursor += 1
+    arms = [(pivot, search._look(pivot)) for pivot in (2 * cursor + 1, 2 * cursor)]  # the values 0 and 1
+    live = [a for a in arms if a[1] is not None]
+    exist = not search.univ[cursor]
+    if len(live) < 2:
+        return (exist, live[0], None) if live and exist else False
+    free = [b for b in (1, 0) if cover.isdisjoint(arms[b][1])]
+    if free:
+        return exist, arms[free[0] if exist else 1 - free[0]], None
+    return exist, arms[0], arms[1]
+
+
+def watch_nodes(mp):
+    """Check every node against `eager_node` on the same state; returns how
+    many nodes `_Search.node` decided with no look, with one and with two."""
+    search = solver2cnf._Search
+    node, look = search.node, search._look
+    looks = [0]
+    counts = Counter()
+
+    def checked_node(self):
+        expected = eager_node(self)
+        before = looks[0]
+        got = node(self)
+        assert got == expected
+        counts[looks[0] - before] += 1
+        return got
+
+    def counted_look(self, pivot):
+        looks[0] += 1
+        return look(self, pivot)
+
+    mp.setattr(search, "node", checked_node)
+    mp.setattr(search, "_look", counted_look)
+    return counts
+
+
+class TestLookOnDemand:
+    """`_Search.node` looks at value 0 only when the value-1 look leaves
+    the node open, and returns what the rule over both looks returns."""
+
+    @pytest.mark.parametrize("seed", (101, 7))
+    def test_same_node_as_the_eager_rule_on_the_small_pool(self, monkeypatch, seed):
+        instances = pool(monkeypatch, seed, small=True)
+        counts = watch_nodes(monkeypatch)
+        for f in instances:
+            assert solve(f)[0] == eval_bruteforce(f), f
+        assert counts[1] > 0 and counts[2] > 0, counts
+
+    @PROPERTY
+    @given(formulas())
+    def test_same_node_as_the_eager_rule(self, f):
+        for bd in rank_classes(f, ("2cnf",)):
+            expected = reference_solve(bd.formula)
+            with pytest.MonkeyPatch.context() as mp:
+                watch_nodes(mp)
+                assert solve(bd.formula) == expected
+
+    def test_fewer_than_one_and_a_half_looks_per_node_on_the_pool(self, monkeypatch):
+        instances = pool(monkeypatch, 101, small=False)
+        counts = watch_nodes(monkeypatch)
+        for f in instances:
+            solve(f)
+        assert counts[1] + 2 * counts[2] < 1.5 * counts.total(), counts
