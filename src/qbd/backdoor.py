@@ -3,8 +3,9 @@
 A clause cover into a base class is a set of clauses whose removal leaves
 every remaining atom inside the class; the backdoor variables are the
 variables of the covered clauses. Detection is one membership scan for all
-candidate classes at once: each atom's shape is taken once, and one rule,
-_fits, places it; one rule, _smallest, picks the smallest cover (the first
+candidate classes at once, _outside: it counts each clause's width and
+positive literals in its own loop, and one rule, _fits, places each such
+shape once; one rule, _smallest, picks the smallest cover (the first
 candidate on a tie) for detect_cc_backdoor and every mode of dispatch. Each
 kind has one record, CLASSES[kind]. The cost lives in the engines,
 parameterized by the cover size.
@@ -13,6 +14,7 @@ parameterized by the cover size.
 from __future__ import annotations
 
 import re
+from itertools import compress
 
 from .errors import ClassError, UnknownTag
 from .formula import AffineEquation, Matrix, QbfFormula, _Record, require_quantified
@@ -77,20 +79,16 @@ class BaseClass(_Record):
 
     def contains(self, atom) -> bool:
         """Membership of a single atom. The empty clause is in every class."""
-        return _fits(self.kind, self.width, *_shape(atom))
+        return not _outside((atom,), (self,))[0]
 
 
 # the one record of each unbounded class, which parse and dual return
 CLASSES = {kind: BaseClass(kind) for kind in _KINDS}
 
 
-def _shape(atom) -> tuple:
-    """(width, positive literals) of a clause; (None, None) for an equation."""
-    return (None, None) if isinstance(atom, AffineEquation) else (len(atom), len([l for l in atom if l > 0]))
-
-
 def _fits(kind: str, width, w, npos) -> bool:
-    """The membership rule, on an atom's shape (see _shape)."""
+    """The membership rule, on an atom's shape: the width w and the count
+    npos of positive literals of a clause, both None for an equation."""
     if w is None:
         return kind == "aff"
     if kind == "2cnf":
@@ -126,11 +124,20 @@ def _coerce(base_class) -> BaseClass:
 
 def _outside(atoms, classes) -> list:
     """The one membership scan: per class, the indices of the atoms outside
-    it. Each shape is placed once; later atoms of that shape reuse it."""
+    it, ascending. An atom's shape is (width, positive literals) for a
+    clause, (None, None) for an equation; each shape is placed once, and
+    later atoms of that shape reuse it."""
     out = [[] for _ in classes]
     misfits = {}  # shape -> the lists of the classes it falls outside
     for i, atom in enumerate(atoms):
-        shape = _shape(atom)
+        if isinstance(atom, AffineEquation):
+            shape = (None, None)
+        else:
+            npos = 0
+            for lit in atom:
+                if lit > 0:
+                    npos += 1
+            shape = (len(atom), npos)
         lists = misfits.get(shape)
         if lists is None:
             lists = misfits[shape] = [o for bc, o in zip(classes, out) if not _fits(bc.kind, bc.width, *shape)]
@@ -200,8 +207,10 @@ def _backdoor(formula: QbfFormula, bc: BaseClass, out, vs) -> CcBackdoor:
     """The CcBackdoor of one (class, outside indices, cover variables) that
     _covers yields: the atoms outside the class become the cover."""
     atoms = formula.matrix.atoms()
-    skip = set(out)
-    matrix = Matrix(tuple(a for i, a in enumerate(atoms) if i not in skip), tuple(atoms[i] for i in out))
+    keep = [True] * len(atoms)
+    for i in out:
+        keep[i] = False
+    matrix = Matrix(tuple(compress(atoms, keep)), tuple(atoms[i] for i in out))
     return CcBackdoor(bc, frozenset(vs), QbfFormula(formula.prefix, matrix, bc))
 
 

@@ -8,6 +8,7 @@ from qbd.backdoor import (
     DEFAULT_CANDIDATES,
     SOLVABLE,
     SolveStats,
+    _outside,
     detect_cc_backdoor,
     rank_classes,
     search,
@@ -44,6 +45,47 @@ MEMBERSHIP = [
 def test_membership_by_kind(atom, inside):
     for tag in ("2cnf", "aff", "horn", "dualhorn", "ihsb-", "ihsb+", "posneg", "dual-posneg"):
         assert bc(tag).contains(atom) == (tag in inside), (tag, atom)
+
+
+def reference_contains(bc, atom) -> bool:
+    """Membership written out per kind, apart from backdoor._fits: from the
+    width w of a clause and its p positive and w - p negative literals, and
+    the width bound b of a bounded class, which gates only its wide shape."""
+    if isinstance(atom, AffineEquation):
+        return bc.kind == "aff"
+    w = len(atom)
+    p = sum(1 for lit in atom if lit > 0)
+    n = w - p
+    b = w if bc.width is None else bc.width
+    return {
+        "2cnf": w <= 2,
+        "aff": w <= 1,
+        "horn": p <= 1 and w <= b,
+        "dualhorn": n <= 1 and w <= b,
+        "ihsb-": (p == 0 and w <= b) or (p == 1 and w <= 2),
+        "ihsb+": (n == 0 and w <= b) or (n == 1 and w <= 2),
+        "posneg": n == 0 or w == 1,
+        "dual-posneg": p == 0 or w == 1,
+    }[bc.kind]
+
+
+# clauses of width 0 to 6 in every sign pattern, and equations, the trivial ones too
+signed_clauses = st.tuples(st.lists(st.integers(1, 8), max_size=6, unique=True),
+                           st.lists(st.booleans(), min_size=6, max_size=6)).map(
+    lambda t: frozenset(v if pos else -v for v, pos in zip(*t)))
+equations = st.tuples(st.frozensets(st.integers(1, 8), max_size=4), st.integers(0, 1)).map(
+    lambda t: AffineEquation(*t))
+
+
+@PROPERTY
+@given(st.lists(signed_clauses | equations, max_size=16))
+def test_membership_scan_agrees_with_the_reference_rule(atoms):
+    classes = [bc(tag) for tag in TAGS]
+    for c, out in zip(classes, _outside(atoms, classes)):
+        assert out == sorted(set(out)), c.tag  # ascending
+        assert out == [i for i, a in enumerate(atoms) if not reference_contains(c, a)], c.tag
+        for a in atoms:
+            assert c.contains(a) == reference_contains(c, a), (c.tag, a)
 
 
 def test_width_bounds_gate_only_the_wide_shape():
