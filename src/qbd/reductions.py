@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 
-from .backdoor import CLASSES, BaseClass, _show
+from .backdoor import CLASSES, BaseClass, _outside, _show
 from .errors import CapError, ClassError, GraphError, ParamError, ParseError
 from .formula import (
     EXISTS,
@@ -152,9 +152,9 @@ def horn_to_3horn(formula: QbfFormula) -> QbfFormula:
     fresh and appended innermost existential; the covered part and the
     truth value are untouched.
     """
-    for atom in formula.matrix.tractable:
-        if not CLASSES["horn"].contains(atom):
-            raise ClassError(f"uncovered atom {_show(atom)} is not Horn")
+    bad = _outside(formula.matrix.tractable, (CLASSES["horn"],))[0]
+    if bad:
+        raise ClassError(f"uncovered atom {_show(formula.matrix.tractable[bad[0]])} is not Horn")
     next_id = max(formula.matrix.variables().union(formula.prefix.variables()), default=0) + 1
     entries = list(formula.prefix.entries)
     out = []

@@ -156,7 +156,14 @@ class _Search:
     every descendant's holds none either. So the root's game is decided
     once, by `_probe` on the reach sets of the universal literals: a false
     one makes the formula false (the covered clauses only add
-    constraints), and below a true one `_look` decides every arm.
+    constraints). Below a true one, `_look` decides every arm, and no look
+    at a universal literal is dead, nor both at an existential x. The live
+    graph is part of the root's, so a pivot that reaches a complementary
+    pair failed at the root, and a universal one with a dead look failed
+    or reached another universal there. x and -x are not both derivable,
+    a derivable pivot's look is live, and x and -x reaching universal
+    literals u1 and u2 give -u1 -> -x -> u2: a path between universals,
+    u1 -> x -> u1 with x outer, or -u1 -> u1. `_probe` refutes them all.
     """
 
     def __init__(self, formula: QbfFormula):
@@ -283,12 +290,10 @@ class _Search:
 
     def _look(self, pivot: int):
         """The units that pivot literal adds over the live graph, the
-        derivable ones left out; None when it falsifies the width-2 game.
-        It does when its complement is derivable, or when it reaches a
-        universal variable other than its own. A pivot that reaches a
-        complementary pair, or the complement of a derivable unit, needs no
-        check of its own: the live graph is part of the root's, so such a
-        pivot failed when probed at the root."""
+        derivable ones left out; None, a dead look, when its complement is
+        derivable or it reaches a universal variable other than its own.
+        The class docstring says why no other check is needed, and which
+        looks can be dead."""
         adj, val, unit, univ = self.adj, self.val, self.unit, self.univ
         if unit[pivot ^ 1]:
             return None
@@ -313,12 +318,10 @@ class _Search:
         """The node for backdoor.search at the outermost unassigned variable:
         a leaf's value, or (existential, arm, the other arm at a branch or
         None), where an arm is (pivot literal, the units it newly derives).
-        Value 1 is looked at first. Two outcomes of that look settle the
-        node whatever value 0 gives, so value 0 is looked at only when
-        neither holds: an existential takes a live value-1 arm that touches
-        no covered literal (the rule tries value 1 first for a free move,
-        and it is the only live arm otherwise), and a universal whose value
-        1 is dead makes the node false."""
+        An existential takes a live value-1 arm that touches no covered
+        literal; else value 0 is looked at too, and an existential plays
+        its one live arm (the class docstring says why no other node has a
+        dead arm), or the free rule applies, or the node branches."""
         cover = self._cover()
         if not cover:  # every covered clause is satisfied, or one is false
             return cover is not None
@@ -327,18 +330,14 @@ class _Search:
         cursor = self.cursor
         exist = not self.univ[cursor]
         one = (2 * cursor, self._look(2 * cursor))
-        if one[1] is None:
-            if not exist:
-                return False
-        elif exist and cover.isdisjoint(one[1]):
+        if exist and one[1] is not None and cover.isdisjoint(one[1]):
             return exist, one, None
         arms = [(2 * cursor + 1, self._look(2 * cursor + 1)), one]  # the values 0 and 1
-        live = [a for a in arms if a[1] is not None]
-        if len(live) < 2:
-            return (exist, live[0], None) if live and exist else False
-        free = [b for b in (1, 0) if cover.isdisjoint(arms[b][1])]
-        if free:
-            return exist, arms[free[0] if exist else 1 - free[0]], None
+        if one[1] is None or arms[0][1] is None:  # an existential's one live arm
+            return exist, arms[0] if one[1] is None else one, None
+        for b in (1, 0):  # the free rule
+            if cover.isdisjoint(arms[b][1]):
+                return exist, arms[b if exist else 1 - b], None
         return exist, arms[0], arms[1]
 
 

@@ -162,11 +162,15 @@ class TestHornTo3Horn:
         assert g.matrix.tractable == (clause(1, -2),)
         assert g.prefix.to_string() == "e1 e2"
 
-    def test_rejects_non_horn(self):
-        f = QbfFormula(Prefix.from_string("e1 e2"), Matrix((clause(1, 2),), ()))
+    @pytest.mark.parametrize("tractable, shown", [
+        ((clause(1, 2),), "(1 2)"),
+        ((clause(1, -2), clause(-3, 2, 1), clause(-1, -2), clause(2, 3)), "(1 2 -3)"),  # the first one
+    ])
+    def test_rejects_non_horn(self, tractable, shown):
+        f = QbfFormula(Prefix.from_string("e1 e2 e3"), Matrix(tractable, ()))
         with pytest.raises(ClassError) as ei:
             horn_to_3horn(f)
-        assert str(ei.value) == "uncovered atom (1 2) is not Horn"
+        assert str(ei.value) == f"uncovered atom {shown} is not Horn"
 
     def test_an_equation_in_the_covered_part_passes_through(self):
         f = QbfFormula(

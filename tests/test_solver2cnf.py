@@ -442,3 +442,49 @@ class TestLookOnDemand:
         for f in instances:
             solve(f)
         assert counts[1] + 2 * counts[2] < 1.5 * counts.total(), counts
+
+
+def watch_looks(mp):
+    """Check at every node that is not a leaf that both looks of a universal
+    are live and that an existential has a live one (the `_Search`
+    docstring says why); returns the nodes counted by quantifier and dead
+    looks."""
+    search = solver2cnf._Search
+    node = search.node
+    counts = Counter()
+
+    def checked_node(self):
+        if self._cover():
+            cursor = self.cursor
+            while self.val[cursor] >= 0:
+                cursor += 1
+            dead = sum(self._look(pivot) is None for pivot in (2 * cursor, 2 * cursor + 1))
+            univ = self.univ[cursor]
+            counts[univ, dead] += 1
+            assert dead == 0 if univ else dead < 2, (univ, dead)
+        return node(self)
+
+    mp.setattr(search, "node", checked_node)
+    return counts
+
+
+class TestDeadLooks:
+    """Below a true root, no universal has a dead look and no existential
+    has two, so `_Search.node` never plays out either case."""
+
+    @pytest.mark.parametrize("seed", (101, 7))
+    def test_no_universal_dead_look_nor_two_on_the_small_pool(self, monkeypatch, seed):
+        instances = pool(monkeypatch, seed, small=True)
+        counts = watch_looks(monkeypatch)
+        for f in instances:
+            assert solve(f)[0] == eval_bruteforce(f), f
+        assert counts[True, 0] > 0 and counts[False, 1] > 0, counts
+
+    @PROPERTY
+    @given(formulas())
+    def test_no_universal_dead_look_nor_two(self, f):
+        for bd in rank_classes(f, ("2cnf",)):
+            expected = reference_solve(bd.formula)
+            with pytest.MonkeyPatch.context() as mp:
+                watch_looks(mp)
+                assert solve(bd.formula) == expected
