@@ -31,7 +31,7 @@ OPEN_MINUS = "open-dihsb-"
 W1_HARD = "w1-hard"
 PARA_PSPACE_HARD = "para-pspace-hard"
 
-DEFAULT_POLY_CAP = 1 << 22
+POLY_CAP = 1 << 22  # the most row combinations, |R|^arity(f), one polymorphism check enumerates
 
 
 class Relation(_Record):
@@ -144,12 +144,13 @@ def dual_relation(r: Relation) -> Relation:
     )
 
 
-def polymorphism_witness(f: BoolFunction, r: Relation, cap: int = DEFAULT_POLY_CAP):
+def polymorphism_witness(f: BoolFunction, r: Relation):
     """None when f preserves r; else (rows, image), the offending choice of
-    rows of r and its coordinate-wise image outside r."""
+    rows of r and its coordinate-wise image outside r. CapError beyond
+    POLY_CAP row combinations."""
     combos = len(r.tuples) ** f.arity
-    if combos > cap:
-        raise CapError(f"{combos} row combinations exceed the cap {cap}")
+    if combos > POLY_CAP:
+        raise CapError(f"{combos} row combinations exceed the cap {POLY_CAP}")
     rows = sorted(r.tuples)
     for choice in product(rows, repeat=f.arity):
         image = tuple(f([row[j] for row in choice]) for j in range(r.arity))
@@ -158,12 +159,12 @@ def polymorphism_witness(f: BoolFunction, r: Relation, cap: int = DEFAULT_POLY_C
     return None
 
 
-def is_polymorphism(f: BoolFunction, r: Relation, cap: int = DEFAULT_POLY_CAP) -> bool:
-    return polymorphism_witness(f, r, cap=cap) is None
+def is_polymorphism(f: BoolFunction, r: Relation) -> bool:
+    return polymorphism_witness(f, r) is None
 
 
-def preserves_language(f: BoolFunction, relations, cap: int = DEFAULT_POLY_CAP) -> bool:
-    return all(is_polymorphism(f, r, cap=cap) for r in relations)
+def preserves_language(f: BoolFunction, relations) -> bool:
+    return all(is_polymorphism(f, r) for r in relations)
 
 
 class ClassifierVerdict(_Record):
@@ -174,14 +175,14 @@ class ClassifierVerdict(_Record):
     _defaults = (None,)
 
 
-def classify(relations, cap: int = DEFAULT_POLY_CAP) -> ClassifierVerdict:
+def classify(relations) -> ClassifierVerdict:
     """Walk the ladder over a language (any iterable of Relations, or the
     dict parse_relations returns)."""
     rels = list(relations.values()) if isinstance(relations, dict) else list(relations)
 
     def has(tag_or_fn) -> bool:
         f = named_function(tag_or_fn) if isinstance(tag_or_fn, str) else tag_or_fn
-        return preserves_language(f, rels, cap=cap)
+        return preserves_language(f, rels)
 
     if has("maj"):
         return ClassifierVerdict(FPT, "maj")

@@ -6,7 +6,8 @@ bench. `solve` exits 10 when the formula is true and 20 when it is false
 usage exits 2. Each warning is one `qbd: warning:` line on stderr. The
 first stdout line of `solve` is always `s TRUE` or `s FALSE`.
 `solve --algorithm` takes auto, brute or one of the engine names in
-backdoor.SOLVABLE.
+backdoor.SOLVABLE. `solve --class TAG` declares the class as a `c class TAG`
+line does; `detect` and `transform` detect the cover for TAG.
 
 Configuration wins in the order flags > environment > defaults. The
 environment knob is QBD_BRUTE_CAP (variable budget for the brute-force
@@ -33,7 +34,7 @@ import sys
 import time
 import warnings
 
-from .backdoor import CLASSES, SOLVABLE, detect_cc_backdoor
+from .backdoor import CLASSES, SOLVABLE, BaseClass, detect_cc_backdoor
 from .errors import CapError, ParamError, ParseError, PreconditionError, QbdError
 from .formula import Matrix, QbfFormula, _Record
 from .qdimacs import parse_qdimacs, parse_relations, write_qdimacs
@@ -77,7 +78,9 @@ def _load_formula(path: str, class_tag=None) -> QbfFormula:
 
 
 def cmd_solve(args) -> int:
-    formula = _load_formula(args.file, args.klass)
+    formula = parse_qdimacs(_read(args.file))
+    if args.klass is not None:  # declared as a `c class` line would; dispatch's one scan detects
+        formula = QbfFormula(formula.prefix, formula.matrix, BaseClass.parse(args.klass))
     algorithm = None if args.algorithm == "auto" else args.algorithm
     brute_cap = resolve_brute_cap(args.brute_cap)
     started = time.perf_counter()
@@ -246,9 +249,9 @@ def _bench_record(raw: str, lineno: int) -> dict:
     if not isinstance(rec, dict) or not all(key in rec for key in _BENCH_KEYS):
         raise ParseError("a bench record is a JSON object with " + ", ".join(_BENCH_KEYS), line=lineno)
     counts = all(type(rec[key]) is int and rec[key] >= 0 for key in ("k", "leaves"))
-    if not (counts and isinstance(rec["instance"], str)):
-        raise ParseError("a bench record's instance is a string and its k and leaves are "
-                         "nonnegative integers", line=lineno)
+    if not (counts and isinstance(rec["instance"], str) and type(rec["value"]) is bool):
+        raise ParseError("a bench record's instance is a string, its value a boolean and its k and "
+                         "leaves nonnegative integers", line=lineno)
     return rec
 
 
@@ -269,7 +272,7 @@ def bench_verify(path: str) -> int:
             print(f"over-budget: {rec['instance']} ({rec['algorithm']})")
     disagree = 0
     for iid, recs in by_instance.items():
-        if len({bool(r["value"]) for r in recs}) > 1:
+        if len({r["value"] for r in recs}) > 1:
             disagree += 1
             print(f"disagree: {iid}")
     print(f"instances {len(by_instance)}  records {records}")
@@ -289,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
     s.add_argument("--algorithm", choices=ALGORITHMS, default="auto")
     s.add_argument("--class", dest="klass", metavar="TAG",
-                   help="detect the cover for this class before solving")
+                   help="declare the class, as a 'c class TAG' line does")
     s.add_argument("--emit-strategy", metavar="PATH",
                    help="write a winning strategy tree here")
     s.add_argument("--brute-cap", type=int, metavar="N",
@@ -299,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("detect", help="print the cover for a class, k first")
     d.add_argument("file")
-    d.add_argument("--class", dest="klass", metavar="TAG")
+    d.add_argument("--class", dest="klass", metavar="TAG", help="detect for this class, not the declared one")
     d.set_defaults(fn=cmd_detect)
 
     kz = sub.add_parser("kernelize", help="reduce the parity part against its cover")
@@ -336,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="split wide Horn clauses down to width 3")
     mode.add_argument("--dualize", action="store_true",
                       help="flip every literal and parity")
-    t.add_argument("--class", dest="klass", metavar="TAG")
+    t.add_argument("--class", dest="klass", metavar="TAG", help="detect the cover for this class first")
     t.add_argument("--out", metavar="PATH")
     t.set_defaults(fn=cmd_transform)
 

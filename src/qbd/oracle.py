@@ -133,20 +133,23 @@ def _render(node) -> str:
     )
 
 
-def extract_strategy(formula: QbfFormula, cap: int = BRUTE_CAP, leaf_cap: int = 1 << 16) -> StrategyTree:
+LEAF_CAP = 1 << 16  # the most leaves of a tree extract_strategy builds
+
+
+def extract_strategy(formula: QbfFormula, cap: int = BRUTE_CAP) -> StrategyTree:
     """Build the winner's strategy tree off the truth table.
 
     The tree has one leaf per play consistent with the winner's choices,
-    2^(opponent variables) of them; leaf_cap bounds that count.
+    2^(opponent variables) of them; LEAF_CAP bounds that count.
     """
     table, quants = _game(formula, cap)
     n = len(quants)
     value = _fold(table, quants, 0)
     mine = EXISTS if value else FORALL
     branching = sum(1 for q in quants if q != mine)
-    if 1 << branching > leaf_cap:
+    if 1 << branching > LEAF_CAP:
         raise CapError(
-            f"strategy would have 2^{branching} leaves, above the cap {leaf_cap}"
+            f"strategy would have 2^{branching} leaves, above the cap {LEAF_CAP}"
         )
 
     def build(t: int, i: int):

@@ -196,13 +196,17 @@ def dualize(formula: QbfFormula) -> QbfFormula:
     )
 
 
-def mis_bruteforce(g: PartitionedGraph, cap: int = 1 << 20) -> bool:
-    """True iff some choice of one vertex per part is pairwise nonadjacent."""
+MIS_CAP = 1 << 20  # the most transversals, one vertex per part, mis_bruteforce enumerates
+
+
+def mis_bruteforce(g: PartitionedGraph) -> bool:
+    """True iff some choice of one vertex per part is pairwise nonadjacent;
+    CapError beyond MIS_CAP transversals."""
     total = 1
     for part in g.parts:
         total *= len(part)
-        if total > cap:
-            raise CapError(f"transversal count exceeds the cap {cap}")
+        if total > MIS_CAP:
+            raise CapError(f"transversal count exceeds the cap {MIS_CAP}")
     if g.k == 0 or total == 0:
         return False
 

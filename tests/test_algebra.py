@@ -6,11 +6,11 @@ import pytest
 from qbd.algebra import (
     BoolFunction,
     ClassifierVerdict,
-    DEFAULT_POLY_CAP,
     FPT,
     OPEN_MINUS,
     OPEN_PLUS,
     PARA_PSPACE_HARD,
+    POLY_CAP,
     Relation,
     W1_HARD,
     classify,
@@ -36,6 +36,8 @@ OR3 = rel("or3", 3, set(product((0, 1), repeat=3)) - {(0, 0, 0)})
 HORN3 = rel("horn3", 3, set(product((0, 1), repeat=3)) - {(0, 1, 1)})
 ONE_IN_3 = rel("1in3", 3, {(1, 0, 0), (0, 1, 0), (0, 0, 1)})
 XOR3 = rel("xor3", 3, {t for t in product((0, 1), repeat=3) if sum(t) % 2 == 1})
+# 162 rows: a ternary function meets 162**3 row combinations, just over POLY_CAP = 2**22 (161**3 is under)
+WIDE = rel("wide", 8, [*product((0, 1), repeat=8)][:162])
 
 
 class TestRelation:
@@ -162,8 +164,12 @@ class TestPolymorphism:
             assert image == tuple(f([row[j] for row in choice]) for j in range(arity))
 
     def test_cap(self):
+        with pytest.raises(CapError, match=f"^{162 ** 3} row combinations exceed the cap {1 << 22}$"):
+            polymorphism_witness(named_function("maj"), WIDE)
         with pytest.raises(CapError):
-            polymorphism_witness(named_function("maj"), IMPL, cap=10)
+            is_polymorphism(named_function("maj"), WIDE)
+        with pytest.raises(CapError):
+            preserves_language(named_function("maj"), [IMPL, WIDE])
 
 
 class TestClassify:
@@ -217,7 +223,7 @@ class TestClassify:
 
     def test_cap_propagates(self):
         with pytest.raises(CapError):
-            classify([OR3], cap=4)
+            classify([OR3, WIDE])
 
-    def test_default_cap_is_generous(self):
-        assert DEFAULT_POLY_CAP >= 1 << 20
+    def test_cap_is_generous(self):
+        assert POLY_CAP == 1 << 22

@@ -5,10 +5,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from qbd import cli, reductions
+from qbd import backdoor, cli, reductions
 from qbd.formula import AffineEquation, clause
 from qbd.oracle import extract_strategy
 from qbd.qdimacs import parse_qdimacs, write_qdimacs
@@ -65,6 +66,28 @@ class TestSolve:
     def test_forced_engine_class_mismatch(self, example, capsys):
         assert cli.run(["solve", example, "--algorithm", "aff"]) == 1
         assert "declares 2cnf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, tag", [(RUNNING_EXAMPLE_TEXT, "2cnf"), (RUNNING_EXAMPLE_TEXT, "aff"),
+                                           (AFF_TEXT, "horn")], ids=["example-2cnf", "example-aff", "parity-horn"])
+    def test_class_flag_declares_as_a_class_line_does(self, text, tag, tmp_path, capsys):
+        """--class TAG on solve is a `c class TAG` line: the same lines and
+        exit code, and one membership scan, dispatch's, per run."""
+        flagged, declared = tmp_path / "flagged.qdimacs", tmp_path / "declared.qdimacs"
+        flagged.write_text(text)
+        declared.write_text(text.replace(text.splitlines()[0], f"c class {tag}", 1))
+        runs = []
+        for argv in (["solve", str(flagged), "--class", tag], ["solve", str(declared)]):
+            with mock.patch.object(backdoor, "_outside", side_effect=backdoor._outside) as scans:
+                code = cli.run(argv)
+            captured = capsys.readouterr()
+            out = [line for line in captured.out.splitlines() if not line.startswith("c wall-time")]
+            runs.append((code, out, captured.err, scans.call_count))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (10, 20) and runs[0][3] == 1
+
+    def test_unknown_class_flag_is_one_error_line(self, example, capsys):
+        assert cli.run(["solve", example, "--class", "3cnf"]) == 1
+        assert capsys.readouterr().err == "qbd: unknown base class tag '3cnf'\n"
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(RUNNING_EXAMPLE_TEXT))
@@ -349,6 +372,17 @@ class TestTransform:
         assert cli.run(["transform", str(p), "--to-3horn"]) == 1
         assert capsys.readouterr().err == "qbd: uncovered atom (1 2) is not Horn\n"
 
+    def test_to_3horn_detects_for_the_class_flag(self, tmp_path, capsys):
+        # transform detects the cover, so a non-Horn clause the file keeps
+        # in its tractable part moves behind the marker
+        p = tmp_path / "declared.qdimacs"
+        p.write_text("c class horn\np cnf 3 1\ne 1 2 3 0\n1 2 3 0\n")
+        assert cli.run(["transform", str(p), "--to-3horn", "--class", "horn"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[out.index("c backdoor-begin") + 1:] == ["1 2 3 0"]
+        assert cli.run(["transform", str(p), "--to-3horn"]) == 1
+        assert capsys.readouterr().err == "qbd: uncovered atom (1 2 3) is not Horn\n"
+
     def test_modes_are_exclusive(self, example):
         with pytest.raises(SystemExit) as ei:
             cli.run(["transform", example, "--dualize", "--to-3horn"])
@@ -416,8 +450,12 @@ class TestBench:
             json.dumps([GOOD]),
             json.dumps(dict(GOOD, k=-1)),
             json.dumps(dict(GOOD, k=1.5)),
+            json.dumps(dict(GOOD, value="false")),
+            json.dumps(dict(GOOD, value=None)),
+            json.dumps(dict(GOOD, value=1)),
         ],
-        ids=["not-json", "no-leaves", "no-k", "no-instance", "not-an-object", "negative-k", "float-k"],
+        ids=["not-json", "no-leaves", "no-k", "no-instance", "not-an-object", "negative-k", "float-k",
+             "string-value", "null-value", "int-value"],
     )
     def test_verify_names_a_malformed_line(self, tmp_path, capsys, line):
         log = tmp_path / "bad.jsonl"

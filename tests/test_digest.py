@@ -25,7 +25,8 @@ def digest(monkeypatch):
 def test_sections_that_read_no_pool_print_the_same_line_twice(digest):
     sections = {"prefix": digest.prefix_section, "classes": digest.class_section,
                 "game2cnf": digest.game2cnf_section, "apply": digest.apply_section,
-                "classify": digest.classify_section, "pivot_elim": digest.pivot_elim_section}
+                "classify": digest.classify_section, "pivot_elim": digest.pivot_elim_section,
+                "hardness": digest.hardness_section, "engines": digest.engines_section}
     for name, section in sections.items():
         line = section(7).line()
         assert re.fullmatch(rf"{name} [0-9a-f]{{64}} [1-9][0-9]*", line), line

@@ -13,6 +13,7 @@ from qbd.formula import (
     clause,
 )
 from qbd.oracle import (
+    LEAF_CAP,
     StrategyNode,
     StrategyTree,
     eval_bruteforce,
@@ -115,9 +116,14 @@ class TestStrategy:
             assert verify_strategy(f, tree)
 
     def test_leaf_cap(self):
-        f = QbfFormula(Prefix.from_string("e1 a2 a3"), Matrix((), ()))
-        with pytest.raises(CapError, match="leaves"):
-            extract_strategy(f, leaf_cap=2)
+        # a true formula: every universal variable doubles the leaves, and 2^16 is LEAF_CAP
+        def universals(n):
+            return QbfFormula(Prefix(tuple((v, FORALL) for v in range(1, n + 1))), Matrix((), ()))
+
+        assert LEAF_CAP == 1 << 16
+        assert extract_strategy(universals(16)).leaves() == LEAF_CAP
+        with pytest.raises(CapError, match=f"^strategy would have 2\\^17 leaves, above the cap {1 << 16}$"):
+            extract_strategy(universals(17))
 
     def test_variable_cap(self):
         big = QbfFormula(Prefix(tuple((v, EXISTS) for v in range(1, 26))), Matrix((), ()))

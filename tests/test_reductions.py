@@ -19,6 +19,7 @@ from qbd.formula import (
 from qbd.oracle import eval_bruteforce
 from qbd.reductions import (
     MAX_ATOMS,
+    MIS_CAP,
     GenParams,
     PartitionedGraph,
     dualize,
@@ -139,9 +140,14 @@ class TestMisBruteforce:
         assert not mis_bruteforce(PartitionedGraph((), frozenset()))
 
     def test_cap(self):
-        g = PartitionedGraph((("a", "b"), ("c", "d")), frozenset())
-        with pytest.raises(CapError):
-            mis_bruteforce(g, cap=3)
+        # k parts of two vertices have 2^k transversals, and MIS_CAP is 2^20
+        def pairs(k):
+            return PartitionedGraph(tuple((f"a{i}", f"b{i}") for i in range(k)), frozenset())
+
+        assert MIS_CAP == 1 << 20
+        assert mis_bruteforce(pairs(20))
+        with pytest.raises(CapError, match=f"^transversal count exceeds the cap {1 << 20}$"):
+            mis_bruteforce(pairs(21))
 
 
 class TestHornTo3Horn:

@@ -66,7 +66,7 @@ input below. The sections:
   classify      algebra.classify (verdict or error) on random languages of
                 one to three relations of arity 1 to 3, most of them
                 clauses with random signs, and on their dual languages,
-                under the default polymorphism cap and a small one
+                under algebra.POLY_CAP and a small one set in its place
   classes       BaseClass.parse (repr, tag, dual and membership of a fixed
                 list of atoms, or the error) on random spellings: the eight
                 kinds in mixed case with blanks around them, width prefixes
@@ -79,8 +79,8 @@ input below. The sections:
                 wide clauses (now and then one atom outside Horn);
                 named_function on the eight fixed tags, t2 to t6, t1, t02
                 and unknown words; eval_bruteforce, extract_strategy and
-                verify_strategy on random formulas under variable and leaf
-                caps that pass and caps that fail
+                verify_strategy on random formulas under variable caps and
+                oracle.LEAF_CAP values that pass and that fail
 
 Each line reads `section sha256 items`. Random inputs are drawn from a
 random.Random seeded with the section name and SEED.
@@ -99,8 +99,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402  (bench/gen.py, standard library only)
+from qbd import algebra, oracle  # noqa: E402
 from qbd.affine import AffSystem, elim, kernelize, pivot, solve_aff  # noqa: E402
-from qbd.algebra import DEFAULT_POLY_CAP, Relation, classify, dual_relation, named_function  # noqa: E402
+from qbd.algebra import Relation, classify, dual_relation, named_function  # noqa: E402
 from qbd.backdoor import SOLVABLE, BaseClass, detect_cc_backdoor, rank_classes, verify_partition  # noqa: E402
 from qbd.formula import EXISTS, FORALL, AffineEquation, Matrix, Prefix, QbfFormula, apply_assignment  # noqa: E402
 from qbd.oracle import BRUTE_CAP, eval_bruteforce, extract_strategy, verify_strategy  # noqa: E402
@@ -156,6 +157,17 @@ def outcome(fn, *args, show=repr):
             if hasattr(exc, "line"):  # and the line a ParseError names
                 out = (out, exc.line)
     return (out, tuple(str(w.message) for w in caught))
+
+
+def capped(module, name, cap, fn, *args, show=repr):
+    """outcome(fn, *args) with the module constant `name` set to `cap` for
+    the call."""
+    saved = getattr(module, name)
+    setattr(module, name, cap)
+    try:
+        return outcome(fn, *args, show=show)
+    finally:
+        setattr(module, name, saved)
 
 
 class Section:
@@ -698,9 +710,9 @@ def classify_section(seed):
     rng = random.Random(f"classify:{seed}")
     for _ in range(RANDOM_DRAWS // 5):
         language = [random_relation(rng) for _ in range(rng.randint(1, 3))]
-        cap = rng.choice((DEFAULT_POLY_CAP, DEFAULT_POLY_CAP, 64))
+        cap = rng.choice((algebra.POLY_CAP, algebra.POLY_CAP, 64))
         for rels in (language, [dual_relation(r) for r in language]):
-            sec.add(outcome(classify, rels, cap))
+            sec.add(capped(algebra, "POLY_CAP", cap, classify, rels))
     return sec
 
 
@@ -795,9 +807,9 @@ def hardness_section(seed):
         f, other = random_formula(rng), random_formula(rng)
         n = len(f.prefix)
         for cap in (None, BRUTE_CAP, n, n - 1, 0):
-            leaf_cap = rng.choice((1 << 16, 1, 2, 4))
+            leaf_cap = rng.choice((oracle.LEAF_CAP, 1, 2, 4))
             sec.add((cap, leaf_cap, outcome(eval_bruteforce, f, cap),
-                     outcome(extract_strategy, f, cap, leaf_cap, show=strategy)))
+                     capped(oracle, "LEAF_CAP", leaf_cap, extract_strategy, f, cap, show=strategy)))
         try:
             tree = extract_strategy(f, None)
         except Exception:  # the errors are in the lines above
